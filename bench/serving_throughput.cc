@@ -1,13 +1,15 @@
 // serving_throughput — closed-loop load generator for the concurrent batched
-// serving runtime (serve/ServingRuntime).
+// serving runtime (serve/ShardedServingRuntime).
 //
 // Fits a Prestroid pipeline over a generated Grab-like trace, then drives the
 // runtime with multiple producer threads cycling a fixed pool of distinct
 // plans (a recurring workload, so the plan-fingerprint cache converges to a
-// high hit rate). One scenario per max-batch in {1, 8, 32, 128}; each reports
-// QPS, end-to-end latency percentiles, cache hit rate, and per-tier counts,
-// and every model-tier answer is checked against the single-query
-// PredictPlan reference (batched-vs-single parity).
+// high hit rate). One one-shard scenario per max-batch in {1, 8, 32, 128},
+// then a precision axis, a shard-scaling curve and a tenant-isolation probe,
+// all through the same producer loop; each reports QPS, end-to-end latency
+// percentiles, cache hit rate, and per-tier counts, and every model-tier
+// answer is checked against the single-query PredictPlan reference
+// (batched-vs-single parity).
 //
 // Writes BENCH_serving.json (path = argv[1], default ./BENCH_serving.json)
 // via the shared bench JSON writer. PRESTROID_BENCH_SCALE=full scales up the
@@ -35,7 +37,6 @@
 #include "core/quant_profile.h"
 #include "cost/serving_estimator.h"
 #include "tensor/kernels/kernel_registry.h"
-#include "serve/serving_runtime.h"
 #include "serve/sharded_runtime.h"
 #include "serve/tenant_quota.h"
 #include "util/histogram.h"
@@ -53,7 +54,36 @@ constexpr size_t kWindow = 64;
 /// deadline-induced degradation, so queue wait must not trigger skips.
 constexpr double kDeadlineMs = 1e9;
 
+/// One closed-loop run against a fresh ShardedServingRuntime.
+struct Scenario {
+  size_t shards = 1;
+  size_t max_batch = 32;
+  /// Model-tier precision; the default runs the exact fp32 path.
+  Precision precision = Precision::kFp32;
+  std::shared_ptr<const core::QuantizationProfile> profile;
+  /// Parity gate against the fp32 single-query reference — strict for fp32,
+  /// relaxed (the §5.8 envelope) for low-precision scenarios.
+  double tol_abs = 1e-5;
+  double tol_rel = 0.0;
+  /// Tenant of each global request index.
+  std::function<serve::TenantId(size_t)> tenant_of = [](size_t) {
+    return serve::TenantId{0};
+  };
+  std::vector<std::pair<serve::TenantId, serve::TenantQuota>> quotas;
+};
+
+struct ProducerOutcome {
+  size_t parity_violations = 0;
+  double max_abs_err = 0.0;
+  /// Terminal drops (shed with nothing outstanding to drain).
+  size_t dropped = 0;
+  /// (tenant, runtime-measured enqueue->resolve latency ms) per resolved
+  /// request, for per-tenant percentile accounting.
+  std::vector<std::pair<serve::TenantId, double>> latencies;
+};
+
 struct ScenarioResult {
+  size_t shards = 0;
   size_t max_batch = 0;
   Precision precision = Precision::kFp32;         // requested
   Precision active_precision = Precision::kFp32;  // after any fallback
@@ -68,191 +98,42 @@ struct ScenarioResult {
   cost::ServingStats stats;
   size_t parity_violations = 0;
   double max_abs_err = 0.0;
+  std::vector<ProducerOutcome> outcomes;
 };
 
 /// One producer's share of the closed loop: claim global request indices,
-/// submit with overflow backpressure, and parity-check resolved answers.
-struct ProducerOutcome {
-  size_t parity_violations = 0;
-  double max_abs_err = 0.0;
-};
-
-ProducerOutcome RunProducer(serve::ServingRuntime& runtime,
+/// submit, and parity-check resolved answers. Quota/queue sheds drain the
+/// oldest outstanding request and retry; a shed with nothing outstanding is
+/// a terminal drop (that tenant's quota cannot free itself), counted but not
+/// fatal — shedding IS the correct behavior under an over-quota mix.
+ProducerOutcome RunProducer(serve::ShardedServingRuntime& runtime,
                             const std::vector<const plan::PlanNode*>& plans,
                             const std::vector<double>& reference,
-                            std::atomic<size_t>& next, size_t total_requests,
-                            double tol_abs, double tol_rel) {
+                            const Scenario& scenario,
+                            std::atomic<size_t>& next, size_t total_requests) {
   ProducerOutcome outcome;
-  std::deque<std::pair<size_t, std::future<cost::ServingEstimate>>> window;
-  auto settle = [&](size_t plan_index,
-                    std::future<cost::ServingEstimate> future) {
-    const cost::ServingEstimate estimate = future.get();
-    if (estimate.tier != cost::ServingTier::kModel) return;
-    const double err = std::abs(estimate.cpu_minutes - reference[plan_index]);
-    outcome.max_abs_err = std::max(outcome.max_abs_err, err);
-    if (err > tol_abs + tol_rel * std::abs(reference[plan_index])) {
-      ++outcome.parity_violations;
-    }
-  };
-  for (;;) {
-    const size_t i = next.fetch_add(1);
-    if (i >= total_requests) break;
-    const size_t plan_index = i % plans.size();
-    for (;;) {
-      auto submitted = runtime.Submit(*plans[plan_index], kDeadlineMs);
-      if (submitted.ok()) {
-        window.emplace_back(plan_index, std::move(*submitted));
-        break;
-      }
-      if (submitted.status().code() != StatusCode::kResourceExhausted ||
-          window.empty()) {
-        std::cerr << "submit failed: " << submitted.status().ToString() << "\n";
-        std::abort();
-      }
-      settle(window.front().first, std::move(window.front().second));
-      window.pop_front();
-    }
-    while (window.size() >= kWindow) {
-      settle(window.front().first, std::move(window.front().second));
-      window.pop_front();
-    }
-  }
-  while (!window.empty()) {
-    settle(window.front().first, std::move(window.front().second));
-    window.pop_front();
-  }
-  return outcome;
-}
-
-/// `precision`/`profile` configure the shard's model-tier precision; the
-/// default runs the exact fp32 path. `tol_abs`/`tol_rel` are the parity gate
-/// against the fp32 single-query reference — strict for fp32 scenarios,
-/// relaxed (the §5.8 envelope) for low-precision ones.
-ScenarioResult RunScenario(
-    cost::ServingEstimator& estimator,
-    const std::vector<const plan::PlanNode*>& plans,
-    const std::vector<double>& reference, size_t max_batch,
-    size_t total_requests, Precision precision = Precision::kFp32,
-    std::shared_ptr<const core::QuantizationProfile> profile = nullptr,
-    double tol_abs = 1e-5, double tol_rel = 0.0) {
-  estimator.ResetStats();
-  serve::ServingRuntimeConfig config;
-  config.max_batch = max_batch;
-  config.queue_depth = std::max<size_t>(256, 4 * max_batch);
-  config.batch_window_us = 100;
-  config.cache_entries = 2 * plans.size();
-  config.precision = precision;
-  config.quant_profile = std::move(profile);
-  serve::ServingRuntime runtime(&estimator, config);
-  PRESTROID_CHECK(runtime.Start().ok());
-
-  std::atomic<size_t> next{0};
-  std::vector<ProducerOutcome> outcomes(kProducers);
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> producers;
-  producers.reserve(kProducers);
-  for (size_t p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      outcomes[p] = RunProducer(runtime, plans, reference, next,
-                                total_requests, tol_abs, tol_rel);
-    });
-  }
-  for (std::thread& t : producers) t.join();
-  const double elapsed_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-
-  ScenarioResult result;
-  result.max_batch = max_batch;
-  result.precision = precision;
-  result.active_precision = runtime.shard().active_precision();
-  result.resident_weight_bytes = runtime.shard().resident_weight_bytes();
-  result.requests = total_requests;
-  result.elapsed_s = elapsed_s;
-  result.qps = static_cast<double>(total_requests) / elapsed_s;
-  const LatencyHistogram latency = runtime.LatencySnapshot();
-  result.p50_ms = latency.Percentile(50.0);
-  result.p95_ms = latency.Percentile(95.0);
-  result.p99_ms = latency.Percentile(99.0);
-  result.stats = runtime.StatsSnapshot();
-  const size_t lookups = result.stats.cache_hits + result.stats.cache_misses;
-  result.cache_hit_rate =
-      lookups == 0 ? 0.0
-                   : static_cast<double>(result.stats.cache_hits) /
-                         static_cast<double>(lookups);
-  for (const ProducerOutcome& outcome : outcomes) {
-    result.parity_violations += outcome.parity_violations;
-    result.max_abs_err = std::max(result.max_abs_err, outcome.max_abs_err);
-  }
-  runtime.Shutdown();
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// Sharded-tier phases: shard-scaling curve and tenant isolation. The
-// max-batch sweep above is untouched; everything below drives the
-// fingerprint-routed ShardedServingRuntime instead.
-// ---------------------------------------------------------------------------
-
-struct ShardOutcome {
-  size_t parity_violations = 0;
-  double max_abs_err = 0.0;
-  /// Terminal quota drops (shed with nothing outstanding to drain).
-  size_t dropped = 0;
-  /// (tenant, runtime-measured enqueue->resolve latency ms) per resolved
-  /// request, for per-tenant percentile accounting.
-  std::vector<std::pair<serve::TenantId, double>> latencies;
-};
-
-struct ShardScenarioResult {
-  size_t shards = 0;
-  size_t requests = 0;
-  double elapsed_s = 0.0;
-  double qps = 0.0;
-  double p50_ms = 0.0;
-  double p95_ms = 0.0;
-  double p99_ms = 0.0;
-  double cache_hit_rate = 0.0;
-  cost::ServingStats stats;
-  size_t parity_violations = 0;
-  double max_abs_err = 0.0;
-  std::vector<ShardOutcome> outcomes;
-};
-
-/// Closed-loop producer against the sharded tier. `tenant_of(i)` assigns
-/// each global request index a tenant. Quota/queue sheds drain the oldest
-/// outstanding request and retry; a shed with nothing outstanding is a
-/// terminal drop (that tenant's quota cannot free itself), counted but not
-/// fatal — shedding IS the correct behavior under an over-quota mix.
-ShardOutcome RunShardProducer(
-    serve::ShardedServingRuntime& runtime,
-    const std::vector<const plan::PlanNode*>& plans,
-    const std::vector<double>& reference,
-    const std::function<serve::TenantId(size_t)>& tenant_of,
-    std::atomic<size_t>& next, size_t total_requests) {
-  ShardOutcome outcome;
   std::deque<std::tuple<size_t, serve::TenantId,
                         std::future<cost::ServingEstimate>>>
       window;
-  auto settle = [&](size_t plan_index, serve::TenantId tenant,
-                    std::future<cost::ServingEstimate> future) {
-    const cost::ServingEstimate estimate = future.get();
-    outcome.latencies.emplace_back(tenant, estimate.latency_ms);
-    if (estimate.tier != cost::ServingTier::kModel) return;
-    const double err = std::abs(estimate.cpu_minutes - reference[plan_index]);
-    outcome.max_abs_err = std::max(outcome.max_abs_err, err);
-    if (err > 1e-5) ++outcome.parity_violations;
-  };
   auto settle_front = [&] {
     auto& [plan_index, tenant, future] = window.front();
-    settle(plan_index, tenant, std::move(future));
+    const cost::ServingEstimate estimate = future.get();
+    outcome.latencies.emplace_back(tenant, estimate.latency_ms);
+    if (estimate.tier == cost::ServingTier::kModel) {
+      const double want = reference[plan_index];
+      const double err = std::abs(estimate.cpu_minutes - want);
+      outcome.max_abs_err = std::max(outcome.max_abs_err, err);
+      if (err > scenario.tol_abs + scenario.tol_rel * std::abs(want)) {
+        ++outcome.parity_violations;
+      }
+    }
     window.pop_front();
   };
   for (;;) {
     const size_t i = next.fetch_add(1);
     if (i >= total_requests) break;
     const size_t plan_index = i % plans.size();
-    const serve::TenantId tenant = tenant_of(i);
+    const serve::TenantId tenant = scenario.tenant_of(i);
     for (;;) {
       auto submitted = runtime.Submit(*plans[plan_index], kDeadlineMs, tenant);
       if (submitted.ok()) {
@@ -275,57 +156,49 @@ ShardOutcome RunShardProducer(
   return outcome;
 }
 
-/// One estimator per shard: shared fallback fits, an independent model
-/// instance each (shards never share an estimator or a pipeline).
-std::vector<std::unique_ptr<cost::ServingEstimator>> MakeShardEstimators(
-    const std::vector<workload::QueryRecord>& records,
-    const std::string& artifact_path, size_t shards) {
+/// Runs `scenario` with one estimator per shard: shared fallback fits, an
+/// independent model instance each (shards never share an estimator or a
+/// pipeline).
+ScenarioResult RunScenario(const std::vector<workload::QueryRecord>& records,
+                           const std::string& artifact_path,
+                           const std::vector<const plan::PlanNode*>& plans,
+                           const std::vector<double>& reference,
+                           const Scenario& scenario, size_t total_requests) {
   std::vector<std::unique_ptr<cost::ServingEstimator>> estimators;
-  for (size_t s = 0; s < shards; ++s) {
+  std::vector<cost::ServingEstimator*> raw;
+  for (size_t s = 0; s < scenario.shards; ++s) {
     auto estimator = std::make_unique<cost::ServingEstimator>();
     PRESTROID_CHECK(estimator->FitFallbacks(records).ok());
     auto pipeline = core::PrestroidPipeline::LoadFile(artifact_path);
     PRESTROID_CHECK(pipeline.ok());
     estimator->AttachPipeline(std::move(*pipeline));
+    raw.push_back(estimator.get());
     estimators.push_back(std::move(estimator));
   }
-  return estimators;
-}
-
-ShardScenarioResult RunShardScenario(
-    const std::vector<workload::QueryRecord>& records,
-    const std::string& artifact_path,
-    const std::vector<const plan::PlanNode*>& plans,
-    const std::vector<double>& reference, size_t shards, size_t total_requests,
-    const std::function<serve::TenantId(size_t)>& tenant_of,
-    const std::vector<std::pair<serve::TenantId, serve::TenantQuota>>&
-        quotas = {}) {
-  auto estimators = MakeShardEstimators(records, artifact_path, shards);
-  std::vector<cost::ServingEstimator*> raw;
-  raw.reserve(estimators.size());
-  for (auto& estimator : estimators) raw.push_back(estimator.get());
 
   serve::ShardedRuntimeConfig config;
-  config.shards = shards;
-  config.shard.max_batch = 32;
-  config.shard.queue_depth = 256;
+  config.shards = scenario.shards;
+  config.shard.max_batch = scenario.max_batch;
+  config.shard.queue_depth = std::max<size_t>(256, 4 * scenario.max_batch);
   config.shard.batch_window_us = 100;
   config.shard.cache_entries = 2 * plans.size();
+  config.shard.precision = scenario.precision;
+  config.shard.quant_profile = scenario.profile;
   serve::ShardedServingRuntime runtime(raw, config);
-  for (const auto& [tenant, quota] : quotas) {
+  for (const auto& [tenant, quota] : scenario.quotas) {
     runtime.SetTenantQuota(tenant, quota);
   }
   PRESTROID_CHECK(runtime.Start().ok());
 
   std::atomic<size_t> next{0};
-  std::vector<ShardOutcome> outcomes(kProducers);
+  std::vector<ProducerOutcome> outcomes(kProducers);
   const auto start = std::chrono::steady_clock::now();
   std::vector<std::thread> producers;
   producers.reserve(kProducers);
   for (size_t p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
-      outcomes[p] = RunShardProducer(runtime, plans, reference, tenant_of,
-                                     next, total_requests);
+      outcomes[p] = RunProducer(runtime, plans, reference, scenario, next,
+                                total_requests);
     });
   }
   for (std::thread& t : producers) t.join();
@@ -333,8 +206,12 @@ ShardScenarioResult RunShardScenario(
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
 
-  ShardScenarioResult result;
-  result.shards = shards;
+  ScenarioResult result;
+  result.shards = scenario.shards;
+  result.max_batch = scenario.max_batch;
+  result.precision = scenario.precision;
+  result.active_precision = runtime.shard(0).active_precision();
+  result.resident_weight_bytes = runtime.shard(0).resident_weight_bytes();
   result.requests = total_requests;
   result.elapsed_s = elapsed_s;
   result.qps = static_cast<double>(total_requests) / elapsed_s;
@@ -348,7 +225,7 @@ ShardScenarioResult RunShardScenario(
       lookups == 0 ? 0.0
                    : static_cast<double>(result.stats.cache_hits) /
                          static_cast<double>(lookups);
-  for (const ShardOutcome& outcome : outcomes) {
+  for (const ProducerOutcome& outcome : outcomes) {
     result.parity_violations += outcome.parity_violations;
     result.max_abs_err = std::max(result.max_abs_err, outcome.max_abs_err);
   }
@@ -358,10 +235,10 @@ ShardScenarioResult RunShardScenario(
 }
 
 /// p95 of one tenant's resolved latencies across all producers.
-double TenantP95(const std::vector<ShardOutcome>& outcomes,
+double TenantP95(const std::vector<ProducerOutcome>& outcomes,
                  serve::TenantId tenant) {
   LatencyHistogram hist;
-  for (const ShardOutcome& outcome : outcomes) {
+  for (const ProducerOutcome& outcome : outcomes) {
     for (const auto& [t, latency_ms] : outcome.latencies) {
       if (t == tenant) hist.Record(latency_ms);
     }
@@ -385,14 +262,10 @@ int Run(const std::string& out_path, size_t max_shards) {
       core::PrestroidPipeline::Fit(data.records, data.splits.train, config);
   PRESTROID_CHECK(pipeline.ok());
 
-  // The sharded phases load one independent model instance per shard from
-  // this artifact (fit once, deserialize N times).
+  // Every scenario loads one independent model instance per shard from this
+  // artifact (fit once, deserialize N times).
   const std::string artifact_path = out_path + ".model.tmp";
   PRESTROID_CHECK((*pipeline)->SaveFile(artifact_path).ok());
-
-  cost::ServingEstimator estimator;
-  PRESTROID_CHECK(estimator.FitFallbacks(data.records).ok());
-  estimator.AttachPipeline(std::move(*pipeline));
 
   // Recurring workload: a fixed pool of distinct plans, cycled by every
   // producer. The first cycle populates the cache; the steady state is hits.
@@ -412,7 +285,7 @@ int Run(const std::string& out_path, size_t max_shards) {
   reference.reserve(num_distinct);
   for (size_t i = 0; i < num_distinct; ++i) {
     plans.push_back(data.records[by_size[i]].plan.get());
-    auto single = estimator.pipeline()->PredictPlan(*plans.back());
+    auto single = (*pipeline)->PredictPlan(*plans.back());
     PRESTROID_CHECK(single.ok());
     reference.push_back(*single);
   }
@@ -420,8 +293,10 @@ int Run(const std::string& out_path, size_t max_shards) {
   const size_t batch_sizes[] = {1, 8, 32, 128};
   std::vector<ScenarioResult> results;
   for (size_t max_batch : batch_sizes) {
-    results.push_back(RunScenario(estimator, plans, reference, max_batch,
-                                  total_requests));
+    Scenario scenario;
+    scenario.max_batch = max_batch;
+    results.push_back(RunScenario(data.records, artifact_path, plans,
+                                  reference, scenario, total_requests));
     const ScenarioResult& r = results.back();
     std::cout << StrFormat(
         "max-batch %zu: %.0f qps, p50=%.3fms p95=%.3fms p99=%.3fms, "
@@ -449,13 +324,13 @@ int Run(const std::string& out_path, size_t max_shards) {
     std::vector<core::PlanFeatures> features;
     features.reserve(plans.size());
     for (const plan::PlanNode* p : plans) {
-      auto featurized = estimator.pipeline()->FeaturizePlan(*p);
+      auto featurized = (*pipeline)->FeaturizePlan(*p);
       if (featurized.ok()) features.push_back(std::move(*featurized));
     }
     std::vector<const core::PlanFeatures*> sample;
     sample.reserve(features.size());
     for (const auto& f : features) sample.push_back(&f);
-    auto calibrated = estimator.pipeline()->CalibrateQuantization(sample, 99.0);
+    auto calibrated = (*pipeline)->CalibrateQuantization(sample, 99.0);
     PRESTROID_CHECK(calibrated.ok());
     *quant_profile = std::move(*calibrated);
   }
@@ -463,10 +338,17 @@ int Run(const std::string& out_path, size_t max_shards) {
   for (size_t max_batch : {size_t{1}, size_t{8}, size_t{32}}) {
     for (Precision precision : {Precision::kFp32, Precision::kInt8}) {
       const bool int8 = precision == Precision::kInt8;
-      precision_results.push_back(RunScenario(
-          estimator, plans, reference, max_batch, total_requests, precision,
-          int8 ? quant_profile : nullptr,
-          /*tol_abs=*/int8 ? 0.1 : 1e-5, /*tol_rel=*/int8 ? 0.1 : 0.0));
+      Scenario scenario;
+      scenario.max_batch = max_batch;
+      scenario.precision = precision;
+      if (int8) {
+        scenario.profile = quant_profile;
+        scenario.tol_abs = 0.1;
+        scenario.tol_rel = 0.1;
+      }
+      precision_results.push_back(RunScenario(data.records, artifact_path,
+                                              plans, reference, scenario,
+                                              total_requests));
       const ScenarioResult& r = precision_results.back();
       std::cout << StrFormat(
           "precision %s max-batch %zu: %.0f qps, p95=%.3fms, "
@@ -484,14 +366,14 @@ int Run(const std::string& out_path, size_t max_shards) {
   // multi-core runner QPS should rise monotonically 1 -> 4; on a single
   // hardware thread the curve is flat — the JSON records hardware_threads so
   // consumers can tell which regime produced it.
-  std::vector<ShardScenarioResult> scaling;
-  const auto single_tenant = [](size_t) { return serve::TenantId{0}; };
+  std::vector<ScenarioResult> scaling;
   for (size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
     if (shards > max_shards) continue;
-    scaling.push_back(RunShardScenario(data.records, artifact_path, plans,
-                                       reference, shards, total_requests,
-                                       single_tenant));
-    const ShardScenarioResult& r = scaling.back();
+    Scenario scenario;
+    scenario.shards = shards;
+    scaling.push_back(RunScenario(data.records, artifact_path, plans,
+                                  reference, scenario, total_requests));
+    const ScenarioResult& r = scaling.back();
     std::cout << StrFormat(
         "shards %zu: %.0f qps, p50=%.3fms p95=%.3fms p99=%.3fms, "
         "cache-hit=%.1f%%, parity-violations=%zu\n",
@@ -508,22 +390,26 @@ int Run(const std::string& out_path, size_t max_shards) {
   constexpr serve::TenantId kHeavy = 1;
   constexpr serve::TenantId kLight = 2;
   const size_t light_requests = total_requests * 3 / 10;
-  ShardScenarioResult isolated = RunShardScenario(
-      data.records, artifact_path, plans, reference, isolation_shards,
-      light_requests, [](size_t) { return kLight; });
-  const std::vector<std::pair<serve::TenantId, serve::TenantQuota>> quotas = {
-      {kHeavy, serve::TenantQuota{/*max_in_flight=*/8,
-                                  /*max_scratch_bytes=*/0}}};
-  ShardScenarioResult mixed = RunShardScenario(
-      data.records, artifact_path, plans, reference, isolation_shards,
-      total_requests,
-      [](size_t i) { return i % 10 < 7 ? kHeavy : kLight; }, quotas);
+  Scenario light_only;
+  light_only.shards = isolation_shards;
+  light_only.tenant_of = [](size_t) { return kLight; };
+  const ScenarioResult isolated =
+      RunScenario(data.records, artifact_path, plans, reference, light_only,
+                  light_requests);
+  Scenario skewed;
+  skewed.shards = isolation_shards;
+  skewed.tenant_of = [](size_t i) { return i % 10 < 7 ? kHeavy : kLight; };
+  skewed.quotas = {{kHeavy, serve::TenantQuota{/*max_in_flight=*/8,
+                                               /*max_scratch_bytes=*/0}}};
+  const ScenarioResult mixed =
+      RunScenario(data.records, artifact_path, plans, reference, skewed,
+                  total_requests);
   const double isolated_p95 = TenantP95(isolated.outcomes, kLight);
   const double mixed_light_p95 = TenantP95(mixed.outcomes, kLight);
   const double p95_ratio =
       isolated_p95 > 0.0 ? mixed_light_p95 / isolated_p95 : 0.0;
   size_t heavy_drops = 0;
-  for (const ShardOutcome& outcome : mixed.outcomes) {
+  for (const ProducerOutcome& outcome : mixed.outcomes) {
     heavy_drops += outcome.dropped;
   }
   std::cout << StrFormat(
@@ -598,7 +484,7 @@ int Run(const std::string& out_path, size_t max_shards) {
 
   json.Key("shard_scaling");
   json.BeginArray();
-  for (const ShardScenarioResult& r : scaling) {
+  for (const ScenarioResult& r : scaling) {
     json.BeginObject();
     json.Field("shards", r.shards);
     json.Field("requests", r.requests);
@@ -676,7 +562,7 @@ int Run(const std::string& out_path, size_t max_shards) {
   for (const ScenarioResult& r : precision_results) {
     total_violations += r.parity_violations;
   }
-  for (const ShardScenarioResult& r : scaling) {
+  for (const ScenarioResult& r : scaling) {
     total_violations += r.parity_violations;
   }
   total_violations += isolated.parity_violations + mixed.parity_violations;

@@ -22,8 +22,8 @@
 // model artifact and the periodic training snapshots are written atomically,
 // and --resume continues an interrupted run from the last snapshot); predict
 // loads a saved pipeline and scores a trace's plans without retraining;
-// serve runs the concurrent batched ServingRuntime over the fault-tolerant
-// ServingEstimator — bounded admission queue, dynamic micro-batching,
+// serve runs the concurrent batched ShardedServingRuntime over fault-tolerant
+// ServingEstimators — bounded admission queue, dynamic micro-batching,
 // plan-fingerprint feature caching, plan validation, per-request deadline,
 // and the model -> log-binning -> global-mean degradation chain — and
 // reports which tier answered each query; with --retrain-interval it also
@@ -60,7 +60,6 @@
 #include "net/resilient_client.h"
 #include "net/signal_handler.h"
 #include "serve/model_manager.h"
-#include "serve/serving_runtime.h"
 #include "serve/sharded_runtime.h"
 #include "serve/tenant_quota.h"
 #include "util/histogram.h"
@@ -439,28 +438,35 @@ void PrintPrecisionSummary(Precision requested, Precision active,
       stats.precision_fallbacks, resident_bytes);
 }
 
-/// Multi-shard serve path (--shards N, N > 1): one estimator + model
-/// instance per shard behind the fingerprint-routed, tenant-quota'd
-/// ShardedServingRuntime. Queries are spread round-robin over --tenants K
-/// synthetic tenants so the quota/admission path is exercised. --shards 1
-/// stays on the original single-runtime code path in Serve(), preserving its
-/// behavior bit for bit.
-int ServeSharded(const Flags& flags, size_t shards) {
-  const std::string model_path = flags.Get("model", "");
-  const std::string trace_path = flags.Get("trace", "");
-  auto ingested = IngestTrace(flags, trace_path);
-  if (!ingested.ok()) return Fail(ingested.status());
-  std::vector<workload::QueryRecord>& records = ingested->records;
+/// The serving tier both serve modes run: one estimator + model instance per
+/// shard behind the fingerprint-routed, tenant-quota'd ShardedServingRuntime.
+struct ServingTier {
+  std::vector<std::unique_ptr<cost::ServingEstimator>> estimators;
+  std::unique_ptr<serve::ShardedServingRuntime> runtime;
+};
 
+/// Builds and starts the tier from the serve flags (--shards, --deadline-ms,
+/// queue/batch/cache/governor/precision flags, --tenant-quota,
+/// --memory-budget). Returns 0, or the exit code to fail with.
+int StartServingTier(const Flags& flags,
+                     const std::vector<workload::QueryRecord>& records,
+                     ServingTier* tier) {
+  const std::string model_path = flags.Get("model", "");
+  serve::ShardedRuntimeConfig config;
+  config.shards =
+      std::max<size_t>(1, static_cast<size_t>(flags.GetInt("shards", 1)));
   cost::ServingLimits limits;
   limits.default_deadline_ms =
       static_cast<double>(flags.GetInt("deadline-ms", 50));
-  std::vector<std::unique_ptr<cost::ServingEstimator>> estimators;
   std::vector<cost::ServingEstimator*> raw_estimators;
-  for (size_t s = 0; s < shards; ++s) {
+  for (size_t s = 0; s < config.shards; ++s) {
     auto estimator = std::make_unique<cost::ServingEstimator>(limits);
     Status fitted = estimator->FitFallbacks(records);
     if (!fitted.ok()) return Fail(fitted);
+    // A *missing* model artifact degrades serving instead of killing it (the
+    // estimator keeps answering from the fallback tiers), but a *corrupt* one
+    // fails fast: LoadFile CRC-validates the container, and serving a process
+    // whose artifact store is corrupting data would hide real damage.
     if (!model_path.empty() && !flags.Has("no-model")) {
       auto pipeline = core::PrestroidPipeline::LoadFile(model_path);
       if (pipeline.ok()) {
@@ -473,11 +479,9 @@ int ServeSharded(const Flags& flags, size_t shards) {
       }
     }
     raw_estimators.push_back(estimator.get());
-    estimators.push_back(std::move(estimator));
+    tier->estimators.push_back(std::move(estimator));
   }
 
-  serve::ShardedRuntimeConfig config;
-  config.shards = shards;
   config.shard.queue_depth =
       static_cast<size_t>(flags.GetInt("queue-depth", 256));
   config.shard.max_batch = static_cast<size_t>(flags.GetInt("max-batch", 32));
@@ -489,53 +493,176 @@ int ServeSharded(const Flags& flags, size_t shards) {
   if (!ApplyPrecisionFlags(flags, model_path, &config.shard)) return 2;
   config.memory_budget_bytes =
       static_cast<size_t>(flags.GetInt("memory-budget", 0));
-  serve::ShardedServingRuntime runtime(raw_estimators, config);
-  if (!ApplyTenantQuotas(flags.Get("tenant-quota", ""), runtime)) return 2;
-  Status started = runtime.Start();
+  tier->runtime =
+      std::make_unique<serve::ShardedServingRuntime>(raw_estimators, config);
+  if (!ApplyTenantQuotas(flags.Get("tenant-quota", ""), *tier->runtime)) {
+    return 2;
+  }
+  Status started = tier->runtime->Start();
   if (!started.ok()) return Fail(started);
+  return 0;
+}
 
+/// Shadow-retraining configuration for continual mode: the train command's
+/// architecture flags (--full/--n/--k/--pf/--conv) plus --retrain-interval,
+/// --retrain-epochs and --candidate.
+core::ContinualTrainerConfig ContinualTrainerConfigFromFlags(
+    const Flags& flags, const plan::PlanLimits& plan_limits) {
+  const std::string model_path = flags.Get("model", "");
+  core::ContinualTrainerConfig config;
+  config.pipeline.use_subtrees = !flags.Has("full");
+  config.pipeline.sampler.node_limit =
+      static_cast<size_t>(flags.GetInt("n", 15));
+  config.pipeline.num_subtrees = static_cast<size_t>(flags.GetInt("k", 9));
+  config.pipeline.word2vec.dim = static_cast<size_t>(flags.GetInt("pf", 32));
+  config.pipeline.word2vec.min_count = 2;
+  config.pipeline.conv_channels.assign(
+      3, static_cast<size_t>(flags.GetInt("conv", 32)));
+  config.pipeline.dense_units = {
+      static_cast<size_t>(flags.GetInt("conv", 32)), 16};
+  config.pipeline.learning_rate = 3e-3f;
+  config.pipeline.plan_limits = plan_limits;
+  config.train.batch_size = 32;
+  config.train.max_epochs =
+      static_cast<size_t>(flags.GetInt("retrain-epochs", 10));
+  config.train.patience = 4;
+  config.retrain_interval =
+      static_cast<size_t>(flags.GetInt("retrain-interval", 0));
+  config.candidate_path = flags.Get(
+      "candidate",
+      (model_path.empty() ? std::string("model.ppl") : model_path) +
+          ".candidate");
+  // Interrupted retrains resume from their last snapshot instead of
+  // restarting (the existing crash-safe training machinery).
+  config.train.snapshot_path = config.candidate_path + ".ckpt";
+  config.train.snapshot_every = 5;
+  config.train.resume = true;
+  return config;
+}
+
+/// The continual-learning loop (--retrain-interval N > 0): served queries
+/// become labeled observations, a shadow trainer periodically retrains a
+/// candidate on the freshest window, and the model manager shadow-validates
+/// and hot-swaps it into the running tier — with drift detection, probation,
+/// and automatic rollback. Both members are null when the loop is off.
+struct ContinualLoop {
+  std::unique_ptr<serve::ModelManager> manager;
+  std::unique_ptr<core::ContinualTrainer> trainer;
+
+  /// Feeds one served estimate and the cost measured for it.
+  void Observe(const workload::QueryRecord& record,
+               const cost::ServingEstimate& estimate) {
+    manager->ObserveLabeled(*record.plan, estimate.cpu_minutes,
+                            record.metrics.total_cpu_minutes, estimate.tier);
+    trainer->AddRecord(record);
+  }
+
+  /// Runs a shadow retrain when one is due and offers the candidate for
+  /// promotion. Failures leave the active model serving.
+  void RetrainIfDue() {
+    if (!trainer->RetrainDue()) return;
+    auto candidate = trainer->RetrainCandidate();
+    if (!candidate.ok()) {
+      std::cerr << "retrain failed (active model keeps serving): "
+                << candidate.status().ToString() << "\n";
+      return;
+    }
+    auto report = manager->TryPromote(candidate->artifact_path);
+    if (!report.ok()) {
+      std::cerr << "promotion failed (active model keeps serving): "
+                << report.status().ToString() << "\n";
+      return;
+    }
+    std::cout << StrFormat(
+        "candidate %s: %s (q-error p95 candidate=%.2f active=%.2f over "
+        "%zu replayed, version=%llu)\n",
+        candidate->artifact_path.c_str(),
+        serve::ModelLifecycleToString(report->outcome), report->candidate_p95,
+        report->active_p95, report->replay_size,
+        static_cast<unsigned long long>(report->version));
+  }
+};
+
+ContinualLoop StartContinualLoop(const Flags& flags,
+                                 serve::ShardedServingRuntime& runtime) {
+  ContinualLoop loop;
+  if (flags.GetInt("retrain-interval", 0) <= 0) return loop;
+  serve::ModelManagerConfig config;
+  config.drift_threshold = flags.GetDouble("drift-threshold", 2.0);
+  config.probation_window =
+      static_cast<size_t>(flags.GetInt("probation-window", 64));
+  config.rollback_qerr = flags.GetDouble("rollback-qerr", 2.0);
+  loop.manager = std::make_unique<serve::ModelManager>(&runtime, config);
+  loop.trainer = std::make_unique<core::ContinualTrainer>(
+      ContinualTrainerConfigFromFlags(flags,
+                                      runtime.config().shard.plan_limits));
+  return loop;
+}
+
+/// Offline replay (serve without --listen): serves the trace's first --limit
+/// plans, spread round-robin over --tenants synthetic tenants, and prints one
+/// row per query. Plans go in a window at a time so the micro-batcher sees
+/// batches. On kResourceExhausted (queue, quota, or memory budget) the
+/// oldest outstanding request is drained and the submit retried; with nothing
+/// outstanding the shed is terminal for that query (its quota cannot free
+/// itself). Governor rejects (kInvalidArgument) are terminal for that query,
+/// not for the run: the row is skipped and shows up in the limit-rejects
+/// counter. In continual mode each window holds --retrain-interval queries
+/// and is fed back as labeled observations before the retrain/promote step;
+/// in this replay the trace's measured cost is the ground truth that in
+/// production arrives once the query finishes executing.
+int ReplayTrace(const Flags& flags,
+                const std::vector<workload::QueryRecord>& records,
+                serve::ShardedServingRuntime& runtime, ContinualLoop& loop) {
   const size_t tenants =
       std::max<size_t>(1, static_cast<size_t>(flags.GetInt("tenants", 1)));
   const size_t limit = std::min<size_t>(
       records.size(), static_cast<size_t>(flags.GetInt("limit", 20)));
-
-  // Same closed-loop backpressure as the single-runtime path: on
-  // kResourceExhausted (queue, quota, or memory budget), drain the oldest
-  // outstanding request and retry; with nothing outstanding the shed is
-  // terminal for that query (its quota cannot free itself).
+  const size_t window = loop.trainer != nullptr
+                            ? loop.trainer->config().retrain_interval
+                            : limit;
   std::vector<cost::ServingEstimate> estimates(limit);
   std::vector<std::string> rejected(limit);
-  std::deque<std::pair<size_t, std::future<cost::ServingEstimate>>> in_flight;
-  for (size_t i = 0; i < limit; ++i) {
-    const auto tenant = static_cast<serve::TenantId>(i % tenants);
-    for (;;) {
-      auto submitted = runtime.Submit(*records[i].plan, 0.0, tenant);
-      if (submitted.ok()) {
-        in_flight.emplace_back(i, std::move(*submitted));
-        break;
+  for (size_t window_start = 0; window_start < limit;
+       window_start += window) {
+    const size_t window_end = std::min(limit, window_start + window);
+    std::deque<std::pair<size_t, std::future<cost::ServingEstimate>>> in_flight;
+    for (size_t i = window_start; i < window_end; ++i) {
+      const auto tenant = static_cast<serve::TenantId>(i % tenants);
+      for (;;) {
+        auto submitted = runtime.Submit(*records[i].plan, 0.0, tenant);
+        if (submitted.ok()) {
+          in_flight.emplace_back(i, std::move(*submitted));
+          break;
+        }
+        if (submitted.status().code() == StatusCode::kInvalidArgument) {
+          std::cerr << "q" << i << " rejected: "
+                    << submitted.status().message() << "\n";
+          rejected[i] = "rejected";
+          break;
+        }
+        if (submitted.status().code() != StatusCode::kResourceExhausted) {
+          return Fail(submitted.status());
+        }
+        if (in_flight.empty()) {
+          std::cerr << "q" << i << " shed: " << submitted.status().message()
+                    << "\n";
+          rejected[i] = "shed";
+          break;
+        }
+        estimates[in_flight.front().first] = in_flight.front().second.get();
+        in_flight.pop_front();
       }
-      if (submitted.status().code() == StatusCode::kInvalidArgument) {
-        std::cerr << "q" << i << " rejected: " << submitted.status().message()
-                  << "\n";
-        rejected[i] = "rejected";
-        break;
-      }
-      if (submitted.status().code() != StatusCode::kResourceExhausted) {
-        return Fail(submitted.status());
-      }
-      if (in_flight.empty()) {
-        std::cerr << "q" << i << " shed: " << submitted.status().message()
-                  << "\n";
-        rejected[i] = "shed";
-        break;
-      }
+    }
+    while (!in_flight.empty()) {
       estimates[in_flight.front().first] = in_flight.front().second.get();
       in_flight.pop_front();
     }
-  }
-  while (!in_flight.empty()) {
-    estimates[in_flight.front().first] = in_flight.front().second.get();
-    in_flight.pop_front();
+    if (loop.manager == nullptr) continue;
+    for (size_t i = window_start; i < window_end; ++i) {
+      if (rejected[i].empty()) loop.Observe(records[i], estimates[i]);
+    }
+    loop.RetrainIfDue();
   }
 
   TablePrinter table({"query", "tenant", "estimate (min)", "actual (min)",
@@ -555,217 +682,17 @@ int ServeSharded(const Flags& flags, size_t shards) {
                   StrFormat("%.3f", estimates[i].latency_ms)});
   }
   table.Print(std::cout);
-
-  const cost::ServingStats stats = runtime.StatsSnapshot();
-  const LatencyHistogram latency = runtime.LatencySnapshot();
-  const MemoryTrackerStats memory = runtime.MemorySnapshot();
-  const std::vector<serve::TenantCounters> tenant_counters =
-      runtime.TenantSnapshot();
-  runtime.Shutdown();
-
-  std::cout << StrFormat(
-      "tiers: model=%zu log-binning=%zu global-mean=%zu | "
-      "rejects=%zu deadline-skips=%zu deadline-misses=%zu model-errors=%zu\n",
-      stats.by_tier[0], stats.by_tier[1], stats.by_tier[2],
-      stats.validation_rejects, stats.deadline_skips, stats.deadline_misses,
-      stats.model_errors);
-  const size_t cache_lookups = stats.cache_hits + stats.cache_misses;
-  std::cout << StrFormat(
-      "queue: rejected=%zu limit-rejects=%zu quarantined=%zu | cache: "
-      "hits=%zu misses=%zu evictions=%zu hit-rate=%.1f%%\n",
-      stats.rejected_requests, stats.limit_rejects,
-      ingested->stats.quarantined, stats.cache_hits, stats.cache_misses,
-      stats.cache_evictions,
-      cache_lookups == 0
-          ? 0.0
-          : 100.0 * static_cast<double>(stats.cache_hits) /
-                static_cast<double>(cache_lookups));
-  std::cout << StrFormat(
-      "latency: p50=%.3fms p95=%.3fms p99=%.3fms (n=%zu)\n",
-      latency.Percentile(50.0), latency.Percentile(95.0),
-      latency.Percentile(99.0), latency.count());
-  std::cout << StrFormat(
-      "shards: %zu | tenants: %zu quota-sheds=%zu memory-denied=%zu | "
-      "memory: in-use=%zuB peak=%zuB\n",
-      shards, tenants, stats.quota_sheds, stats.memory_denied,
-      memory.in_use_bytes, memory.peak_bytes);
-  for (const serve::TenantCounters& t : tenant_counters) {
-    std::cout << StrFormat(
-        "  tenant %u: admitted=%zu quota-sheds=%zu\n",
-        static_cast<unsigned>(t.tenant), t.admitted, t.quota_sheds);
-  }
-  if (config.shard.precision != Precision::kFp32) {
-    size_t resident_bytes = 0;
-    for (size_t s = 0; s < runtime.ShardCount(); ++s) {
-      resident_bytes += runtime.shard(s).resident_weight_bytes();
-    }
-    PrintPrecisionSummary(config.shard.precision,
-                          runtime.shard(0).active_precision(), stats,
-                          resident_bytes);
-  }
   return 0;
 }
 
-/// Network serve path (serve --listen HOST:PORT): the sharded serving tier
-/// behind the poll-based HTTP front end (DESIGN.md §5.9). Composes with
-/// --shards/--tenants/--tenant-quota/--memory-budget/--precision and, via
-/// --retrain-interval, the continual-learning loop — served queries that
-/// arrive with an X-Actual-Cpu-Minutes label feed a background retrain
-/// thread that shadow-trains and hot-swaps candidates while the server keeps
-/// answering. SIGTERM/SIGINT triggers a graceful drain: stop accepting,
-/// flush in-flight batches, print the final stats summary, exit 0.
-int ServeHttp(const Flags& flags) {
-  const std::string model_path = flags.Get("model", "");
-  const std::string trace_path = flags.Get("trace", "");
-  std::string host;
-  uint16_t port = 0;
-  Status listen_spec = net::ParseHostPort(flags.Get("listen", ""), &host, &port);
-  if (!listen_spec.ok()) return Fail(listen_spec);
-
-  auto ingested = IngestTrace(flags, trace_path);
-  if (!ingested.ok()) return Fail(ingested.status());
-  std::vector<workload::QueryRecord>& records = ingested->records;
-
-  const size_t shards =
-      std::max<size_t>(1, static_cast<size_t>(flags.GetInt("shards", 1)));
-  cost::ServingLimits limits;
-  limits.default_deadline_ms =
-      static_cast<double>(flags.GetInt("deadline-ms", 50));
-  std::vector<std::unique_ptr<cost::ServingEstimator>> estimators;
-  std::vector<cost::ServingEstimator*> raw_estimators;
-  for (size_t s = 0; s < shards; ++s) {
-    auto estimator = std::make_unique<cost::ServingEstimator>(limits);
-    Status fitted = estimator->FitFallbacks(records);
-    if (!fitted.ok()) return Fail(fitted);
-    if (!model_path.empty() && !flags.Has("no-model")) {
-      auto pipeline = core::PrestroidPipeline::LoadFile(model_path);
-      if (pipeline.ok()) {
-        estimator->AttachPipeline(std::move(*pipeline));
-      } else if (pipeline.status().code() == StatusCode::kDataCorruption) {
-        return Fail(pipeline.status());
-      } else if (s == 0) {
-        std::cerr << "warning: model tier unavailable ("
-                  << pipeline.status().ToString() << "); serving degraded\n";
-      }
-    }
-    raw_estimators.push_back(estimator.get());
-    estimators.push_back(std::move(estimator));
-  }
-
-  serve::ShardedRuntimeConfig config;
-  config.shards = shards;
-  config.shard.queue_depth =
-      static_cast<size_t>(flags.GetInt("queue-depth", 256));
-  config.shard.max_batch = static_cast<size_t>(flags.GetInt("max-batch", 32));
-  config.shard.batch_window_us =
-      static_cast<size_t>(flags.GetInt("batch-window-us", 200));
-  config.shard.cache_entries =
-      static_cast<size_t>(flags.GetInt("cache-entries", 1024));
-  config.shard.plan_limits = PlanLimitsFromFlags(flags);
-  if (!ApplyPrecisionFlags(flags, model_path, &config.shard)) return 2;
-  config.memory_budget_bytes =
-      static_cast<size_t>(flags.GetInt("memory-budget", 0));
-  serve::ShardedServingRuntime runtime(raw_estimators, config);
-  if (!ApplyTenantQuotas(flags.Get("tenant-quota", ""), runtime)) return 2;
-  Status started = runtime.Start();
-  if (!started.ok()) return Fail(started);
-
-  // Continual mode over the wire: labeled completions (requests carrying
-  // X-Actual-Cpu-Minutes) flow through a queue into a single background
-  // thread that owns the ModelManager + ContinualTrainer — keeping all
-  // lifecycle machinery single-threaded while the event loop keeps serving.
-  const size_t retrain_interval =
-      static_cast<size_t>(flags.GetInt("retrain-interval", 0));
-  std::unique_ptr<serve::ModelManager> manager;
-  std::unique_ptr<core::ContinualTrainer> trainer;
-  struct LabeledObs {
-    plan::PlanNodePtr plan;
-    cost::ServingEstimate estimate;
-    double actual = 0.0;
-  };
-  std::mutex obs_mu;
-  std::condition_variable obs_cv;
-  std::deque<LabeledObs> obs_queue;
-  bool obs_stop = false;
-  std::thread retrain_thread;
-  if (retrain_interval > 0) {
-    serve::ModelManagerConfig mm_config;
-    mm_config.drift_threshold = flags.GetDouble("drift-threshold", 2.0);
-    mm_config.probation_window =
-        static_cast<size_t>(flags.GetInt("probation-window", 64));
-    mm_config.rollback_qerr = flags.GetDouble("rollback-qerr", 2.0);
-    manager = std::make_unique<serve::ModelManager>(&runtime, mm_config);
-
-    core::ContinualTrainerConfig ct_config;
-    ct_config.pipeline.use_subtrees = !flags.Has("full");
-    ct_config.pipeline.sampler.node_limit =
-        static_cast<size_t>(flags.GetInt("n", 15));
-    ct_config.pipeline.num_subtrees =
-        static_cast<size_t>(flags.GetInt("k", 9));
-    ct_config.pipeline.word2vec.dim =
-        static_cast<size_t>(flags.GetInt("pf", 32));
-    ct_config.pipeline.word2vec.min_count = 2;
-    ct_config.pipeline.conv_channels.assign(
-        3, static_cast<size_t>(flags.GetInt("conv", 32)));
-    ct_config.pipeline.dense_units = {
-        static_cast<size_t>(flags.GetInt("conv", 32)), 16};
-    ct_config.pipeline.learning_rate = 3e-3f;
-    ct_config.pipeline.plan_limits = config.shard.plan_limits;
-    ct_config.train.batch_size = 32;
-    ct_config.train.max_epochs =
-        static_cast<size_t>(flags.GetInt("retrain-epochs", 10));
-    ct_config.train.patience = 4;
-    ct_config.retrain_interval = retrain_interval;
-    ct_config.candidate_path = flags.Get(
-        "candidate",
-        (model_path.empty() ? std::string("model.ppl") : model_path) +
-            ".candidate");
-    ct_config.train.snapshot_path = ct_config.candidate_path + ".ckpt";
-    ct_config.train.snapshot_every = 5;
-    ct_config.train.resume = true;
-    trainer = std::make_unique<core::ContinualTrainer>(ct_config);
-
-    retrain_thread = std::thread([&]() {
-      for (;;) {
-        LabeledObs obs;
-        {
-          std::unique_lock<std::mutex> lock(obs_mu);
-          obs_cv.wait(lock,
-                      [&]() { return obs_stop || !obs_queue.empty(); });
-          if (obs_queue.empty()) return;  // stop and drained
-          obs = std::move(obs_queue.front());
-          obs_queue.pop_front();
-        }
-        manager->ObserveLabeled(*obs.plan, obs.estimate.cpu_minutes,
-                                obs.actual, obs.estimate.tier);
-        workload::QueryRecord record;
-        record.plan = std::move(obs.plan);
-        record.metrics.total_cpu_minutes = obs.actual;
-        trainer->AddRecord(record);
-        if (!trainer->RetrainDue()) continue;
-        auto candidate = trainer->RetrainCandidate();
-        if (!candidate.ok()) {
-          std::cerr << "retrain failed (active model keeps serving): "
-                    << candidate.status().ToString() << "\n";
-          continue;
-        }
-        auto report = manager->TryPromote(candidate->artifact_path);
-        if (!report.ok()) {
-          std::cerr << "promotion failed (active model keeps serving): "
-                    << report.status().ToString() << "\n";
-          continue;
-        }
-        std::cout << StrFormat(
-            "candidate %s: %s (q-error p95 candidate=%.2f active=%.2f over "
-            "%zu replayed, version=%llu)\n",
-            candidate->artifact_path.c_str(),
-            serve::ModelLifecycleToString(report->outcome),
-            report->candidate_p95, report->active_p95, report->replay_size,
-            static_cast<unsigned long long>(report->version));
-      }
-    });
-  }
-
+/// Network serve mode (serve --listen HOST:PORT): the serving tier behind
+/// the poll-based HTTP front end (DESIGN.md §5.9). In continual mode, served
+/// queries that arrive with an X-Actual-Cpu-Minutes label feed a background
+/// retrain thread that shadow-trains and hot-swaps candidates while the
+/// server keeps answering. SIGTERM/SIGINT triggers a graceful drain: stop
+/// accepting, flush in-flight batches, shut the tier down, exit 0.
+int ServeHttp(const Flags& flags, const std::string& host, uint16_t port,
+              serve::ShardedServingRuntime& runtime, ContinualLoop& loop) {
   net::SignalHandler signals;
   Status installed = signals.Install();
   if (!installed.ok()) return Fail(installed);
@@ -775,7 +702,8 @@ int ServeHttp(const Flags& flags) {
   server_config.port = port;
   server_config.max_connections =
       static_cast<size_t>(flags.GetInt("max-connections", 256));
-  server_config.max_body_bytes = config.shard.plan_limits.max_plan_bytes;
+  const plan::PlanLimits& plan_limits = runtime.config().shard.plan_limits;
+  server_config.max_body_bytes = plan_limits.max_plan_bytes;
   server_config.drain_timeout_ms =
       static_cast<size_t>(flags.GetInt("drain-timeout-ms", 5000));
   server_config.header_timeout_ms =
@@ -786,17 +714,43 @@ int ServeHttp(const Flags& flags) {
   Status bound = server.Start();
   if (!bound.ok()) return Fail(bound);
 
+  // Labeled completions flow through a queue into a single background thread
+  // that owns the continual loop — keeping all lifecycle machinery
+  // single-threaded while the event loop keeps serving.
+  std::mutex obs_mu;
+  std::condition_variable obs_cv;
+  std::deque<std::pair<workload::QueryRecord, cost::ServingEstimate>>
+      obs_queue;
+  bool obs_stop = false;
+  std::thread retrain_thread;
   net::EstimateServiceConfig service_config;
-  service_config.plan_limits = config.shard.plan_limits;
+  service_config.plan_limits = plan_limits;
   net::EstimateService service(&runtime, service_config);
-  if (retrain_interval > 0) {
+  if (loop.manager != nullptr) {
+    retrain_thread = std::thread([&]() {
+      for (;;) {
+        std::pair<workload::QueryRecord, cost::ServingEstimate> obs;
+        {
+          std::unique_lock<std::mutex> lock(obs_mu);
+          obs_cv.wait(lock,
+                      [&]() { return obs_stop || !obs_queue.empty(); });
+          if (obs_queue.empty()) return;  // stop and drained
+          obs = std::move(obs_queue.front());
+          obs_queue.pop_front();
+        }
+        loop.Observe(obs.first, obs.second);
+        loop.RetrainIfDue();
+      }
+    });
     service.SetLabeledObservationHook(
         [&](plan::PlanNodePtr plan, const cost::ServingEstimate& estimate,
             double actual) {
+          workload::QueryRecord record;
+          record.plan = std::move(plan);
+          record.metrics.total_cpu_minutes = actual;
           {
             std::lock_guard<std::mutex> lock(obs_mu);
-            obs_queue.push_back(
-                LabeledObs{std::move(plan), estimate, actual});
+            obs_queue.emplace_back(std::move(record), estimate);
           }
           obs_cv.notify_one();
         });
@@ -805,14 +759,13 @@ int ServeHttp(const Flags& flags) {
 
   std::cout << StrFormat(
       "serving on %s:%u (shards=%zu, max-connections=%zu%s)\n", host.c_str(),
-      static_cast<unsigned>(server.port()), shards,
+      static_cast<unsigned>(server.port()), runtime.ShardCount(),
       server_config.max_connections,
-      retrain_interval > 0 ? ", continual retraining on" : "");
+      loop.manager != nullptr ? ", continual retraining on" : "");
   std::cout << "POST /estimate | GET /healthz | GET /metrics | "
                "SIGTERM drains\n";
 
   Status ran = server.Run(signals.drain_fd());
-  if (!ran.ok()) return Fail(ran);
 
   // Shutdown order matters: stop the retrain thread (it borrows nothing from
   // the runtime), then Shutdown() the runtime (resolves every queued
@@ -825,13 +778,11 @@ int ServeHttp(const Flags& flags) {
     obs_cv.notify_one();
     retrain_thread.join();
   }
-  const cost::ServingStats stats =
-      manager == nullptr ? runtime.StatsSnapshot() : manager->MergedStats();
-  const LatencyHistogram latency = runtime.LatencySnapshot();
-  const net::HttpServerStats http = server.StatsSnapshot();
   runtime.Shutdown();
   service.Shutdown();
+  if (!ran.ok()) return Fail(ran);
 
+  const net::HttpServerStats http = server.StatsSnapshot();
   std::cout << StrFormat(
       "drained in %.1fms (forced closes: %zu)\n", server.drain_latency_ms(),
       static_cast<size_t>(http.forced_drain_closes));
@@ -843,232 +794,21 @@ int ServeHttp(const Flags& flags) {
       static_cast<size_t>(http.connections_rejected),
       static_cast<size_t>(http.connections_aborted),
       static_cast<size_t>(http.draining_rejects));
-  std::cout << StrFormat(
-      "tiers: model=%zu log-binning=%zu global-mean=%zu | "
-      "rejects=%zu deadline-skips=%zu deadline-misses=%zu model-errors=%zu\n",
-      stats.by_tier[0], stats.by_tier[1], stats.by_tier[2],
-      stats.validation_rejects, stats.deadline_skips, stats.deadline_misses,
-      stats.model_errors);
-  std::cout << StrFormat(
-      "latency: p50=%.3fms p95=%.3fms p99=%.3fms (n=%zu)\n",
-      latency.Percentile(50.0), latency.Percentile(95.0),
-      latency.Percentile(99.0), latency.count());
-  if (config.shard.precision != Precision::kFp32) {
-    size_t resident_bytes = 0;
-    for (size_t s = 0; s < runtime.ShardCount(); ++s) {
-      resident_bytes += runtime.shard(s).resident_weight_bytes();
-    }
-    PrintPrecisionSummary(config.shard.precision,
-                          runtime.shard(0).active_precision(), stats,
-                          resident_bytes);
-  }
   return 0;
 }
 
-int Serve(const Flags& flags) {
-  const std::string model_path = flags.Get("model", "");
-  const std::string trace_path = flags.Get("trace", "");
-  if (trace_path.empty()) {
-    std::cerr << "serve requires --trace <file> (and ideally --model <file>)\n";
-    return 2;
-  }
-  // --listen turns the command into a long-running network service over the
-  // sharded tier; without it, serve stays the offline replay it always was.
-  if (flags.Has("listen")) return ServeHttp(flags);
-  // Multi-shard tier behind the same command; the default --shards 1 never
-  // enters it, so single-shard serving keeps today's code path untouched.
-  const size_t shards =
-      std::max<size_t>(1, static_cast<size_t>(flags.GetInt("shards", 1)));
-  if (shards > 1) return ServeSharded(flags, shards);
-  auto ingested = IngestTrace(flags, trace_path);
-  if (!ingested.ok()) return Fail(ingested.status());
-  std::vector<workload::QueryRecord>& records = ingested->records;
-
-  cost::ServingLimits limits;
-  limits.default_deadline_ms =
-      static_cast<double>(flags.GetInt("deadline-ms", 50));
-  cost::ServingEstimator estimator(limits);
-  Status fitted = estimator.FitFallbacks(records);
-  if (!fitted.ok()) return Fail(fitted);
-
-  // A *missing* model artifact degrades serving instead of killing it (the
-  // estimator keeps answering from the fallback tiers), but a *corrupt* one
-  // fails fast: LoadFile CRC-validates the container, and serving a process
-  // whose artifact store is corrupting data would hide real damage.
-  if (!model_path.empty() && !flags.Has("no-model")) {
-    auto pipeline = core::PrestroidPipeline::LoadFile(model_path);
-    if (pipeline.ok()) {
-      estimator.AttachPipeline(std::move(*pipeline));
-    } else if (pipeline.status().code() == StatusCode::kDataCorruption) {
-      return Fail(pipeline.status());
-    } else {
-      std::cerr << "warning: model tier unavailable ("
-                << pipeline.status().ToString() << "); serving degraded\n";
-    }
-  }
-
-  serve::ServingRuntimeConfig runtime_config;
-  runtime_config.queue_depth =
-      static_cast<size_t>(flags.GetInt("queue-depth", 256));
-  runtime_config.max_batch = static_cast<size_t>(flags.GetInt("max-batch", 32));
-  runtime_config.batch_window_us =
-      static_cast<size_t>(flags.GetInt("batch-window-us", 200));
-  runtime_config.cache_entries =
-      static_cast<size_t>(flags.GetInt("cache-entries", 1024));
-  runtime_config.plan_limits = PlanLimitsFromFlags(flags);
-  if (!ApplyPrecisionFlags(flags, model_path, &runtime_config)) return 2;
-  serve::ServingRuntime runtime(&estimator, runtime_config);
-  Status started = runtime.Start();
-  if (!started.ok()) return Fail(started);
-
-  // --retrain-interval N > 0 turns on the continual-learning loop: served
-  // queries become labeled observations (their measured cost is in the
-  // trace), a shadow trainer periodically retrains a candidate on the
-  // freshest window, and the model manager shadow-validates and hot-swaps it
-  // into the running runtime — with drift detection, probation, and
-  // automatic rollback.
-  const size_t retrain_interval =
-      static_cast<size_t>(flags.GetInt("retrain-interval", 0));
-  std::unique_ptr<serve::ModelManager> manager;
-  std::unique_ptr<core::ContinualTrainer> trainer;
-  if (retrain_interval > 0) {
-    serve::ModelManagerConfig mm_config;
-    mm_config.drift_threshold = flags.GetDouble("drift-threshold", 2.0);
-    mm_config.probation_window =
-        static_cast<size_t>(flags.GetInt("probation-window", 64));
-    mm_config.rollback_qerr = flags.GetDouble("rollback-qerr", 2.0);
-    manager = std::make_unique<serve::ModelManager>(&runtime, mm_config);
-
-    core::ContinualTrainerConfig ct_config;
-    ct_config.pipeline.use_subtrees = !flags.Has("full");
-    ct_config.pipeline.sampler.node_limit =
-        static_cast<size_t>(flags.GetInt("n", 15));
-    ct_config.pipeline.num_subtrees =
-        static_cast<size_t>(flags.GetInt("k", 9));
-    ct_config.pipeline.word2vec.dim =
-        static_cast<size_t>(flags.GetInt("pf", 32));
-    ct_config.pipeline.word2vec.min_count = 2;
-    ct_config.pipeline.conv_channels.assign(
-        3, static_cast<size_t>(flags.GetInt("conv", 32)));
-    ct_config.pipeline.dense_units = {
-        static_cast<size_t>(flags.GetInt("conv", 32)), 16};
-    ct_config.pipeline.learning_rate = 3e-3f;
-    ct_config.pipeline.plan_limits = runtime_config.plan_limits;
-    ct_config.train.batch_size = 32;
-    ct_config.train.max_epochs =
-        static_cast<size_t>(flags.GetInt("retrain-epochs", 10));
-    ct_config.train.patience = 4;
-    ct_config.retrain_interval = retrain_interval;
-    ct_config.candidate_path = flags.Get(
-        "candidate",
-        (model_path.empty() ? std::string("model.ppl") : model_path) +
-            ".candidate");
-    // Interrupted retrains resume from their last snapshot instead of
-    // restarting (the existing crash-safe training machinery).
-    ct_config.train.snapshot_path = ct_config.candidate_path + ".ckpt";
-    ct_config.train.snapshot_every = 5;
-    ct_config.train.resume = true;
-    trainer = std::make_unique<core::ContinualTrainer>(ct_config);
-  }
-
-  const size_t limit = std::min<size_t>(
-      records.size(), static_cast<size_t>(flags.GetInt("limit", 20)));
-  // Submit a window at a time so the micro-batcher actually sees batches; on
-  // queue overflow, wait for the oldest outstanding request to resolve and
-  // retry (closed-loop backpressure instead of dropping queries). Governor
-  // rejects (kInvalidArgument) are terminal for that query, not for the run:
-  // the row is skipped and shows up in the limit-rejects counter. In
-  // continual mode each window's results are fed back as labeled
-  // observations before the retrain/promote step runs between windows.
-  const size_t window =
-      retrain_interval > 0 ? std::max<size_t>(retrain_interval, 1) : limit;
-  std::vector<cost::ServingEstimate> estimates(limit);
-  std::vector<bool> rejected(limit, false);
-  for (size_t window_start = 0; window_start < limit;
-       window_start += window) {
-    const size_t window_end = std::min(limit, window_start + window);
-    std::deque<std::pair<size_t, std::future<cost::ServingEstimate>>> in_flight;
-    for (size_t i = window_start; i < window_end; ++i) {
-      for (;;) {
-        auto submitted = runtime.Submit(*records[i].plan);
-        if (submitted.ok()) {
-          in_flight.emplace_back(i, std::move(*submitted));
-          break;
-        }
-        if (submitted.status().code() == StatusCode::kInvalidArgument) {
-          std::cerr << "q" << i << " rejected: "
-                    << submitted.status().message() << "\n";
-          rejected[i] = true;
-          break;
-        }
-        if (submitted.status().code() != StatusCode::kResourceExhausted ||
-            in_flight.empty()) {
-          return Fail(submitted.status());
-        }
-        estimates[in_flight.front().first] = in_flight.front().second.get();
-        in_flight.pop_front();
-      }
-    }
-    while (!in_flight.empty()) {
-      estimates[in_flight.front().first] = in_flight.front().second.get();
-      in_flight.pop_front();
-    }
-    if (manager == nullptr) continue;
-
-    // Feed the window back: in this offline replay the trace's measured
-    // cost is the ground truth that in production arrives once the query
-    // finishes executing.
-    for (size_t i = window_start; i < window_end; ++i) {
-      if (rejected[i]) continue;
-      manager->ObserveLabeled(*records[i].plan, estimates[i].cpu_minutes,
-                              records[i].metrics.total_cpu_minutes,
-                              estimates[i].tier);
-      trainer->AddRecord(records[i]);
-    }
-    if (trainer->RetrainDue()) {
-      auto candidate = trainer->RetrainCandidate();
-      if (!candidate.ok()) {
-        std::cerr << "retrain failed (active model keeps serving): "
-                  << candidate.status().ToString() << "\n";
-        continue;
-      }
-      auto report = manager->TryPromote(candidate->artifact_path);
-      if (!report.ok()) {
-        std::cerr << "promotion failed (active model keeps serving): "
-                  << report.status().ToString() << "\n";
-        continue;
-      }
-      std::cout << StrFormat(
-          "candidate %s: %s (q-error p95 candidate=%.2f active=%.2f over "
-          "%zu replayed, version=%llu)\n",
-          candidate->artifact_path.c_str(),
-          serve::ModelLifecycleToString(report->outcome),
-          report->candidate_p95, report->active_p95, report->replay_size,
-          static_cast<unsigned long long>(report->version));
-    }
-  }
-
-  TablePrinter table({"query", "estimate (min)", "actual (min)", "tier",
-                      "latency (ms)"});
-  for (size_t i = 0; i < limit; ++i) {
-    if (rejected[i]) {
-      table.AddRow({StrFormat("q%zu", i), "-",
-                    StrFormat("%.2f", records[i].metrics.total_cpu_minutes),
-                    "rejected", "-"});
-      continue;
-    }
-    table.AddRow({StrFormat("q%zu", i),
-                  StrFormat("%.2f", estimates[i].cpu_minutes),
-                  StrFormat("%.2f", records[i].metrics.total_cpu_minutes),
-                  cost::ServingTierToString(estimates[i].tier),
-                  StrFormat("%.3f", estimates[i].latency_ms)});
-  }
-  table.Print(std::cout);
-
-  const cost::ServingStats stats =
-      manager == nullptr ? runtime.StatsSnapshot() : manager->MergedStats();
+/// Exit summary of both serve modes, printed once the tier has drained:
+/// tier/degradation counters, queue + cache, latency, shard/tenant/memory
+/// admission, the lifecycle line in continual mode, and the precision line
+/// when a non-fp32 tier was requested.
+void PrintServeSummary(const serve::ShardedServingRuntime& runtime,
+                       const ContinualLoop& loop, size_t quarantined) {
+  const cost::ServingStats stats = loop.manager == nullptr
+                                       ? runtime.StatsSnapshot()
+                                       : loop.manager->MergedStats();
   const LatencyHistogram latency = runtime.LatencySnapshot();
-  runtime.Shutdown();
+  const MemoryTrackerStats memory = runtime.MemorySnapshot();
+  const std::vector<serve::TenantCounters> tenants = runtime.TenantSnapshot();
   std::cout << StrFormat(
       "tiers: model=%zu log-binning=%zu global-mean=%zu | "
       "rejects=%zu deadline-skips=%zu deadline-misses=%zu model-errors=%zu\n",
@@ -1081,8 +821,7 @@ int Serve(const Flags& flags) {
       "quarantined=%zu | cache: hits=%zu misses=%zu "
       "evictions=%zu hit-rate=%.1f%%\n",
       stats.queue_high_watermark, stats.rejected_requests, stats.limit_rejects,
-      ingested->stats.quarantined, stats.cache_hits,
-      stats.cache_misses, stats.cache_evictions,
+      quarantined, stats.cache_hits, stats.cache_misses, stats.cache_evictions,
       cache_lookups == 0
           ? 0.0
           : 100.0 * static_cast<double>(stats.cache_hits) /
@@ -1091,7 +830,17 @@ int Serve(const Flags& flags) {
       "latency: p50=%.3fms p95=%.3fms p99=%.3fms (n=%zu)\n",
       latency.Percentile(50.0), latency.Percentile(95.0),
       latency.Percentile(99.0), latency.count());
-  if (manager != nullptr) {
+  std::cout << StrFormat(
+      "shards: %zu | tenants: %zu quota-sheds=%zu memory-denied=%zu | "
+      "memory: in-use=%zuB peak=%zuB\n",
+      runtime.ShardCount(), tenants.size(), stats.quota_sheds,
+      stats.memory_denied, memory.in_use_bytes, memory.peak_bytes);
+  for (const serve::TenantCounters& t : tenants) {
+    std::cout << StrFormat(
+        "  tenant %u: admitted=%zu quota-sheds=%zu\n",
+        static_cast<unsigned>(t.tenant), t.admitted, t.quota_sheds);
+  }
+  if (loop.manager != nullptr) {
     std::cout << StrFormat(
         "lifecycle: swaps=%zu rollbacks=%zu rejected-candidates=%zu "
         "drift-flags=%zu | q-error p50=%.2f p95=%.2f baseline-p95=%.2f\n",
@@ -1099,11 +848,48 @@ int Serve(const Flags& flags) {
         stats.drift_flags, stats.drift_qerr_p50, stats.drift_qerr_p95,
         stats.drift_baseline_p95);
   }
-  if (runtime_config.precision != Precision::kFp32) {
-    PrintPrecisionSummary(runtime_config.precision,
-                          runtime.shard().active_precision(), stats,
-                          runtime.shard().resident_weight_bytes());
+  const Precision precision = runtime.config().shard.precision;
+  if (precision != Precision::kFp32) {
+    size_t resident_bytes = 0;
+    for (size_t s = 0; s < runtime.ShardCount(); ++s) {
+      resident_bytes += runtime.shard(s).resident_weight_bytes();
+    }
+    PrintPrecisionSummary(precision,
+                          runtime.shard(0).active_precision(), stats,
+                          resident_bytes);
   }
+}
+
+int Serve(const Flags& flags) {
+  const std::string trace_path = flags.Get("trace", "");
+  if (trace_path.empty()) {
+    std::cerr << "serve requires --trace <file> (and ideally --model <file>)\n";
+    return 2;
+  }
+  // --listen turns the command into a long-running network service; without
+  // it, serve is an offline replay of the trace. Both run the same tier.
+  std::string host;
+  uint16_t port = 0;
+  if (flags.Has("listen")) {
+    Status listen_spec =
+        net::ParseHostPort(flags.Get("listen", ""), &host, &port);
+    if (!listen_spec.ok()) return Fail(listen_spec);
+  }
+  auto ingested = IngestTrace(flags, trace_path);
+  if (!ingested.ok()) return Fail(ingested.status());
+
+  ServingTier tier;
+  if (int code = StartServingTier(flags, ingested->records, &tier); code != 0) {
+    return code;
+  }
+  serve::ShardedServingRuntime& runtime = *tier.runtime;
+  ContinualLoop loop = StartContinualLoop(flags, runtime);
+  const int code = flags.Has("listen")
+                       ? ServeHttp(flags, host, port, runtime, loop)
+                       : ReplayTrace(flags, ingested->records, runtime, loop);
+  if (code != 0) return code;
+  runtime.Shutdown();
+  PrintServeSummary(runtime, loop, ingested->stats.quarantined);
   return 0;
 }
 
@@ -1276,7 +1062,7 @@ int Usage() {
          "            [--quant-profile FILE (int8 activation scales;\n"
          "             default MODEL.qprof; missing -> dynamic scales,\n"
          "             corrupt -> fp32 fallback)]\n"
-         "            [--shards S (default 1 = single-runtime path)]\n"
+         "            [--shards S (default 1)]\n"
          "            [--tenants K (spread queries over K tenants)]\n"
          "            [--tenant-quota T:INFLIGHT[:BYTES][,T:...]]\n"
          "            [--memory-budget BYTES (0=account only)]\n"

@@ -51,8 +51,8 @@ struct ServingEstimate {
 
 /// Monotonic per-process serving counters. The estimator itself maintains
 /// the request/tier/degradation counters; the queue and cache fields are
-/// filled in by the batched serving runtime's snapshots (serve/
-/// serving_runtime.h) and stay zero on the direct single-query path.
+/// filled in by the batched serving tier's snapshots (serve/
+/// sharded_runtime.h) and stay zero on the direct single-query path.
 struct ServingStats {
   size_t requests = 0;
   size_t by_tier[kNumServingTiers] = {0, 0, 0};
@@ -62,7 +62,7 @@ struct ServingStats {
   size_t deadline_misses = 0;     // model answered but blew the deadline
   size_t model_errors = 0;        // model tier failed or returned non-finite
 
-  // --- batched-runtime counters (serve::ServingRuntime snapshots) ---------
+  // --- batched-runtime counters (serve::ServingShard snapshots) -----------
   size_t rejected_requests = 0;     // queue-overflow admission rejections
   size_t limit_rejects = 0;         // plans over the PlanLimits governor
   size_t queue_high_watermark = 0;  // max simultaneously queued requests
@@ -71,7 +71,7 @@ struct ServingStats {
   size_t cache_evictions = 0;       // LRU evictions
 
   // --- multi-tenant sharded-tier counters (serve::ShardedServingRuntime
-  // snapshots); zero on single-runtime and direct paths ---------------------
+  // snapshots); zero on the direct single-query path ------------------------
   size_t quota_sheds = 0;     // requests shed over a TenantQuota budget
   size_t memory_denied = 0;   // requests shed by the MemoryTracker budget
 
@@ -82,8 +82,8 @@ struct ServingStats {
   size_t precision_fallbacks = 0;   // shards that requested bf16/int8 but had
                                     // to serve fp32 (bad/mismatched profile)
 
-  // --- model-lifecycle counters (serve::ServingRuntime::SwapPipeline and
-  // serve::ModelManager snapshots); zero on the direct single-query path ---
+  // --- model-lifecycle counters (serve::ShardedServingRuntime::SwapPipelines
+  // and serve::ModelManager snapshots); zero on the direct single-query path
   size_t model_swaps = 0;         // successful hot-swap promotions
   size_t model_rollbacks = 0;     // post-swap regressions rolled back
   size_t rejected_candidates = 0; // candidates failing load/shadow validation
@@ -181,7 +181,7 @@ class ServingEstimator {
                                        double deadline_ms = 0.0);
 
   // --- decomposed pieces for the batched serving runtime ------------------
-  // serve::ServingRuntime reuses the exact chain EstimateWithFallback walks,
+  // serve::ServingShard reuses the exact chain EstimateWithFallback walks,
   // but needs the stages separately: the admission gate before batch
   // assembly, the model-answer bookkeeping after one fused forward pass, and
   // the fallback tiers per degraded item. None of these are thread-safe; the

@@ -73,7 +73,8 @@ void DriftDetector::ClearBaseline() {
   has_baseline_ = false;
 }
 
-ModelManager::ModelManager(ServingHost* host, ModelManagerConfig config)
+ModelManager::ModelManager(ShardedServingRuntime* host,
+                           ModelManagerConfig config)
     : host_(host),
       config_(config),
       drift_(std::max<size_t>(config.drift_window, 1)) {
@@ -249,13 +250,15 @@ Status ModelManager::RollbackLocked(const std::string& reason) {
     return Status::InvalidArgument("no previous model retained for rollback (" +
                                    reason + ")");
   }
+  // A failed swap moves nothing out of previous_, so the rollback targets
+  // stay retained and a retry can still restore them.
   auto swapped =
       host_->SwapPipelines(std::move(previous_), /*is_rollback=*/true);
-  previous_.clear();
   if (!swapped.ok()) {
     ++stats_.swap_failures;
     return swapped.status();
   }
+  previous_.clear();
   // The demoted models are discarded — re-promoting a model that just failed
   // probation would need fresh evidence (a new candidate artifact) anyway.
   in_probation_ = false;

@@ -5,10 +5,7 @@
 #include <memory>
 #include <utility>
 
-#include "plan/plan_limits.h"
-#include "plan/plan_stats.h"
 #include "serve/plan_fingerprint.h"
-#include "util/fault_injection.h"
 
 namespace prestroid::serve {
 
@@ -73,7 +70,6 @@ void ServingShard::Shutdown() {
     }
   }
   queue_cv_.notify_all();
-  space_cv_.notify_all();
   if (worker_.joinable()) worker_.join();
   {
     // The worker is gone and stop_ still rejects submissions; clearing
@@ -93,35 +89,9 @@ void ServingShard::Shutdown() {
   }
 }
 
-Result<std::future<cost::ServingEstimate>> ServingShard::Submit(
-    const plan::PlanNode& plan, double deadline_ms) {
-  // Governor check before anything touches the plan: a rejected plan is
-  // never fingerprinted, featurized, or queued. The walk is checked outside
-  // the queue lock — it early-exits at the limit, so its cost is bounded by
-  // the limits themselves, not by the hostile plan's size.
-  Status within_limits = plan::CheckPlanLimits(plan, config_.plan_limits);
-  if (!within_limits.ok()) {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    ++limit_rejects_;
-    return Status::InvalidArgument("plan rejected by resource governor: " +
-                                   within_limits.message());
-  }
-  return Enqueue(plan, deadline_ms, /*fingerprint=*/0,
-                 /*has_fingerprint=*/false, ShardTicket{});
-}
-
 Result<std::future<cost::ServingEstimate>> ServingShard::SubmitRouted(
     const plan::PlanNode& plan, double deadline_ms, uint64_t fingerprint,
-    ShardTicket ticket) {
-  // The facade already ran the governor (before fingerprinting — the PR5
-  // invariant) and charged the ticket; this path must not double-count.
-  return Enqueue(plan, deadline_ms, fingerprint, /*has_fingerprint=*/true,
-                 ticket);
-}
-
-Result<std::future<cost::ServingEstimate>> ServingShard::Enqueue(
-    const plan::PlanNode& plan, double deadline_ms, uint64_t fingerprint,
-    bool has_fingerprint, ShardTicket ticket) {
+    plan::PlanStats stats, ShardTicket ticket) {
   std::future<cost::ServingEstimate> future;
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
@@ -141,7 +111,7 @@ Result<std::future<cost::ServingEstimate>> ServingShard::Enqueue(
     request.deadline_ms = deadline_ms;
     request.enqueue_time = std::chrono::steady_clock::now();
     request.fingerprint = fingerprint;
-    request.has_fingerprint = has_fingerprint;
+    request.stats = std::move(stats);
     request.ticket = ticket;
     future = request.promise.get_future();
     queue_.push_back(std::move(request));
@@ -151,73 +121,10 @@ Result<std::future<cost::ServingEstimate>> ServingShard::Enqueue(
   return future;
 }
 
-Result<cost::ServingEstimate> ServingShard::EstimateBlocking(
-    const plan::PlanNode& plan, double deadline_ms) {
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    if (!started_ && !stop_) {
-      // No worker will ever drain the queue: blocking here would park the
-      // caller forever once the queue fills. Fail fast instead.
-      return Status::FailedPrecondition(
-          "EstimateBlocking requires a running worker: call Start() first");
-    }
-  }
-  // The blocking wrapper never sheds, so a governor reject degrades through
-  // the estimator's fallback chain instead of surfacing a status.
-  Status within_limits = plan::CheckPlanLimits(plan, config_.plan_limits);
-  if (!within_limits.ok()) {
-    {
-      std::lock_guard<std::mutex> lock(queue_mu_);
-      ++limit_rejects_;
-    }
-    std::lock_guard<std::mutex> serve_lock(serve_mu_);
-    estimator_->CountRequest();
-    const plan::PlanStats stats = plan::ComputePlanStats(plan);
-    return estimator_->EstimateFallback(stats, std::move(within_limits),
-                                        std::chrono::steady_clock::now());
-  }
-  std::future<cost::ServingEstimate> future;
-  {
-    std::unique_lock<std::mutex> lock(queue_mu_);
-    space_cv_.wait(lock, [this] {
-      return stop_ || queue_.size() < config_.queue_depth;
-    });
-    if (stop_) {
-      // The worker is gone (or going), so serving inline is race-free.
-      lock.unlock();
-      std::lock_guard<std::mutex> serve_lock(serve_mu_);
-      return estimator_->EstimateWithFallback(plan, deadline_ms);
-    }
-    PendingRequest request;
-    request.plan = &plan;
-    request.deadline_ms = deadline_ms;
-    request.enqueue_time = std::chrono::steady_clock::now();
-    future = request.promise.get_future();
-    queue_.push_back(std::move(request));
-    queue_high_watermark_ = std::max(queue_high_watermark_, queue_.size());
-  }
-  queue_cv_.notify_one();
-  return future.get();
-}
-
 void ServingShard::InvalidateCache() {
   std::lock_guard<std::mutex> lock(serve_mu_);
   ++cache_generation_;
   cache_.Clear();
-}
-
-Result<std::unique_ptr<core::PrestroidPipeline>> ServingShard::SwapPipeline(
-    std::unique_ptr<core::PrestroidPipeline> pipeline, bool is_rollback) {
-  // serve_mu_ serializes against the batch worker: an in-flight batch
-  // finishes on the old model before the exchange below, and the next batch
-  // can only observe the fully swapped state (new pipeline + new cache
-  // generation). The admission queue is untouched, so no request is dropped.
-  std::lock_guard<std::mutex> lock(serve_mu_);
-  if (FaultInjector::Global().ShouldFail(FaultSite::kModelSwap)) {
-    return Status::IoError(
-        "injected crash mid-swap; previous model left serving");
-  }
-  return SwapPipelineLocked(std::move(pipeline), is_rollback);
 }
 
 std::unique_ptr<core::PrestroidPipeline> ServingShard::SwapPipelineLocked(
@@ -291,7 +198,6 @@ cost::ServingStats ServingShard::StatsSnapshot() const {
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
     stats.rejected_requests = rejected_requests_;
-    stats.limit_rejects = limit_rejects_;
     stats.queue_high_watermark = queue_high_watermark_;
   }
   return stats;
@@ -349,7 +255,6 @@ void ServingShard::WorkerLoop() {
         queue_.pop_front();
       }
     }
-    space_cv_.notify_all();
     std::lock_guard<std::mutex> serve_lock(serve_mu_);
     ServeBatch(batch);
   }
@@ -367,41 +272,6 @@ void ServingShard::ServeBatch(std::vector<PendingRequest>& batch) {
     batch[i].promise.set_value(std::move(estimate));
   };
 
-  // max_batch == 1 preserves the legacy single-query serving path verbatim:
-  // per-request recast + featurize through EstimateWithFallback, no
-  // fingerprint cache, no fused staging. This keeps the degenerate
-  // configuration bit-compatible with pre-runtime serving and makes the
-  // batch-size sweep in bench/serving_throughput a true before/after
-  // comparison. Caching and batch fusion engage for max_batch >= 2.
-  if (config_.max_batch == 1) {
-    for (size_t i = 0; i < batch.size(); ++i) {
-      PendingRequest& request = batch[i];
-      const double deadline = request.deadline_ms > 0.0
-                                  ? request.deadline_ms
-                                  : estimator_->limits().default_deadline_ms;
-      const double remaining = deadline - ElapsedMs(request.enqueue_time);
-      cost::ServingEstimate estimate;
-      if (remaining <= 0.0) {
-        // Expired while queued: EstimateWithFallback would read a
-        // non-positive deadline as "use the default", so degrade explicitly.
-        estimator_->CountRequest();
-        const plan::PlanStats stats = plan::ComputePlanStats(*request.plan);
-        Status expired = estimator_->AdmitModelTier(stats, remaining);
-        estimate = estimator_->EstimateFallback(stats, std::move(expired),
-                                                request.enqueue_time);
-      } else {
-        estimate = estimator_->EstimateWithFallback(*request.plan, remaining);
-        estimate.latency_ms = ElapsedMs(request.enqueue_time);
-        if (estimate.tier == cost::ServingTier::kModel &&
-            active_precision_ != Precision::kFp32) {
-          ++quantized_batches_;  // per model answer on the unfused path
-        }
-      }
-      resolve(i, std::move(estimate));
-    }
-    return;
-  }
-
   // Trivially-destructible staging arrays live in the per-batch scratch
   // arena (rewound, not freed, between batches); the feature handles keep
   // their shared_ptr lifetimes in a normal vector.
@@ -413,7 +283,6 @@ void ServingShard::ServeBatch(std::vector<PendingRequest>& batch) {
   size_t admitted = 0;
   std::vector<std::shared_ptr<const core::PlanFeatures>> feature_handles;
   feature_handles.reserve(batch.size());
-  std::vector<plan::PlanStats> plan_stats(batch.size());
 
   for (size_t i = 0; i < batch.size(); ++i) {
     PendingRequest& request = batch[i];
@@ -422,28 +291,24 @@ void ServingShard::ServeBatch(std::vector<PendingRequest>& batch) {
                                 ? request.deadline_ms
                                 : estimator_->limits().default_deadline_ms;
     remaining_ms[i] = deadline - ElapsedMs(request.enqueue_time);
-    plan_stats[i] = plan::ComputePlanStats(*request.plan);
 
-    Status admit = estimator_->AdmitModelTier(plan_stats[i], remaining_ms[i]);
+    Status admit = estimator_->AdmitModelTier(request.stats, remaining_ms[i]);
     if (!admit.ok()) {
-      resolve(i, estimator_->EstimateFallback(plan_stats[i], std::move(admit),
+      resolve(i, estimator_->EstimateFallback(request.stats, std::move(admit),
                                               request.enqueue_time));
       continue;
     }
-    // Routed requests carry the facade's fingerprint (identical plans land
-    // on the same shard, so reusing it keeps the cache key stable across the
-    // tier); direct submissions hash here.
-    const uint64_t plan_fp = request.has_fingerprint
-                                 ? request.fingerprint
-                                 : FingerprintPlan(*request.plan);
-    const uint64_t key = CombineFingerprint(plan_fp, cache_generation_);
+    // The facade's fingerprint is the cache key (identical plans land on the
+    // same shard, so it stays stable across the tier).
+    const uint64_t key =
+        CombineFingerprint(request.fingerprint, cache_generation_);
     std::shared_ptr<const core::PlanFeatures> features = cache_.Lookup(key);
     if (features == nullptr) {
       Result<core::PlanFeatures> fresh = pipeline->FeaturizePlan(*request.plan);
       if (!fresh.ok()) {
         estimator_->NoteModelFailure();
         resolve(i, estimator_->EstimateFallback(
-                       plan_stats[i], fresh.status(), request.enqueue_time));
+                       request.stats, fresh.status(), request.enqueue_time));
         continue;
       }
       features = std::make_shared<core::PlanFeatures>(std::move(*fresh));
@@ -475,7 +340,7 @@ void ServingShard::ServeBatch(std::vector<PendingRequest>& batch) {
     } else {
       estimator_->NoteModelFailure();
       resolve(i, estimator_->EstimateFallback(
-                     plan_stats[i],
+                     batch[i].stats,
                      Status::Internal("model returned a non-finite estimate"),
                      batch[i].enqueue_time));
     }

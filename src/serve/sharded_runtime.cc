@@ -65,9 +65,12 @@ Result<std::future<cost::ServingEstimate>> ShardedServingRuntime::Submit(
   }
 
   // Stage 2 — tenant quota, charged with the plan's scratch estimate. The
-  // governor just bounded node_count, so this walk is limit-bounded too.
+  // governor just bounded node_count, so this walk is limit-bounded too. The
+  // stats travel with the request: the shard reuses them for model-tier
+  // admission and fallbacks instead of walking the plan again.
+  plan::PlanStats stats = plan::ComputePlanStats(plan);
   const size_t scratch_bytes =
-      plan::ComputePlanStats(plan).node_count * config_.per_node_scratch_bytes;
+      stats.node_count * config_.per_node_scratch_bytes;
   Status admitted = quotas_.TryAdmit(tenant, scratch_bytes);
   if (!admitted.ok()) return admitted;
 
@@ -80,8 +83,8 @@ Result<std::future<cost::ServingEstimate>> ShardedServingRuntime::Submit(
   }
 
   // Stage 4 — fingerprint routing. Identical plans hash identically, land on
-  // the same shard, and share one cached featurization. The shard reuses the
-  // fingerprint for its cache key (no re-hash) and owns the ticket from here:
+  // the same shard, and share one cached featurization. The shard uses the
+  // fingerprint as its cache key (no re-hash) and owns the ticket from here:
   // released when the promise resolves, or immediately on queue rejection.
   const uint64_t fingerprint = FingerprintPlan(plan);
   ShardTicket ticket;
@@ -90,7 +93,7 @@ Result<std::future<cost::ServingEstimate>> ShardedServingRuntime::Submit(
   ticket.memory = &memory_;
   ticket.charged_bytes = scratch_bytes;
   return shards_[RouteShard(fingerprint, shards_.size())]->SubmitRouted(
-      plan, deadline_ms, fingerprint, ticket);
+      plan, deadline_ms, fingerprint, std::move(stats), ticket);
 }
 
 void ShardedServingRuntime::InvalidateCache() {
@@ -122,7 +125,7 @@ MemoryTrackerStats ShardedServingRuntime::MemorySnapshot() const {
 
 Result<std::vector<std::unique_ptr<core::PrestroidPipeline>>>
 ShardedServingRuntime::SwapPipelines(
-    std::vector<std::unique_ptr<core::PrestroidPipeline>> pipelines,
+    std::vector<std::unique_ptr<core::PrestroidPipeline>>&& pipelines,
     bool is_rollback) {
   if (pipelines.size() != shards_.size()) {
     return Status::InvalidArgument(
@@ -138,8 +141,9 @@ ShardedServingRuntime::SwapPipelines(
   locks.reserve(shards_.size());
   for (const auto& shard : shards_) locks.push_back(shard->LockServing());
   // One fault-injection check for the whole transaction, before any shard is
-  // mutated: an injected crash leaves every shard's model, cache, and
-  // generation intact — all-or-nothing.
+  // mutated or any pipeline moved out of `pipelines`: an injected crash
+  // leaves every shard's model, cache, and generation intact, and the caller
+  // still owns the replacements — all-or-nothing.
   if (FaultInjector::Global().ShouldFail(FaultSite::kModelSwap)) {
     return Status::IoError(
         "injected crash mid-swap; previous models left serving on every "

@@ -7,9 +7,9 @@
 #include <memory>
 #include <vector>
 
+#include "core/pipeline.h"
 #include "cost/serving_estimator.h"
 #include "plan/plan_node.h"
-#include "serve/serving_host.h"
 #include "serve/serving_shard.h"
 #include "serve/tenant_quota.h"
 #include "util/histogram.h"
@@ -21,7 +21,7 @@ namespace prestroid::serve {
 /// Topology and admission policy of the sharded serving tier.
 struct ShardedRuntimeConfig {
   /// Number of shards (each an independent queue + batch worker + feature
-  /// cache + estimator). 1 reproduces the single-runtime behavior.
+  /// cache + estimator).
   size_t shards = 1;
   /// Per-shard queue/batch/cache policy, applied uniformly.
   ServingRuntimeConfig shard;
@@ -36,38 +36,40 @@ struct ShardedRuntimeConfig {
   size_t per_node_scratch_bytes = 512;
 };
 
-/// Multi-core, multi-tenant serving tier: N ServingShards behind one
-/// admission front door.
+/// The serving runtime: N ServingShards (N >= 1) behind one admission front
+/// door. Every serving path — the HTTP service, the CLI's offline replay,
+/// the model lifecycle manager and the benches — runs through it.
 ///
 /// Every Submit runs the PlanLimits governor FIRST (a rejected plan is never
 /// fingerprinted — the ingestion-hardening invariant), then tenant-quota and
-/// memory-budget admission, then hashes the plan once and routes it to shard
-/// `fingerprint % shards`. Identical plans therefore always land on the same
-/// shard and share one cached featurization — the tier-wide hit rate matches
-/// the single-runtime cache instead of splitting N ways.
+/// memory-budget admission (sized by the plan's shape statistics, which ride
+/// along to the shard so it never walks the plan again), then hashes the
+/// plan once and routes it to shard `fingerprint % shards`. Identical plans
+/// therefore always land on the same shard and share one cached
+/// featurization — the tier-wide hit rate matches a single shard's cache
+/// instead of splitting N ways.
 ///
 /// Each admitted request carries a ShardTicket holding its tenant-quota slot
 /// and memory charge; the owning shard releases the ticket when the request
 /// resolves (or immediately if its queue rejects), so admission state can
 /// never leak.
 ///
-/// Implements ServingHost: SwapPipelines locks every shard in shard order
-/// (the only multi-shard lock site), performs one fault-injection check, and
-/// exchanges all pipelines before any shard resumes — no request anywhere
-/// observes a half-swapped tier, preserving the single-runtime swap contract
-/// across the fleet.
+/// SwapPipelines locks every shard in shard order (the only multi-shard lock
+/// site), performs one fault-injection check, and exchanges all pipelines
+/// before any shard resumes — no request anywhere observes a half-swapped
+/// tier.
 ///
 /// Lifetime: the estimators (one per shard — each owns its model-tier
 /// pipeline and fallback tiers) must outlive the runtime. Submitted plans
 /// are borrowed until their future resolves.
-class ShardedServingRuntime : public ServingHost {
+class ShardedServingRuntime {
  public:
   /// `estimators.size()` must equal `config.shards` (checked). Each shard
   /// serializes access to its own estimator; estimators must not be shared
   /// between shards or used directly while the tier is running.
   ShardedServingRuntime(std::vector<cost::ServingEstimator*> estimators,
                         ShardedRuntimeConfig config = {});
-  ~ShardedServingRuntime() override;
+  ~ShardedServingRuntime();
 
   ShardedServingRuntime(const ShardedServingRuntime&) = delete;
   ShardedServingRuntime& operator=(const ShardedServingRuntime&) = delete;
@@ -96,7 +98,7 @@ class ShardedServingRuntime : public ServingHost {
 
   /// Counters merged across shards (sums; see ServingStats::MergeFrom) plus
   /// the facade's own governor/quota/memory admission counters.
-  cost::ServingStats StatsSnapshot() const override;
+  cost::ServingStats StatsSnapshot() const;
 
   /// Tier-wide latency distribution: every shard's histogram merged.
   LatencyHistogram LatencySnapshot() const;
@@ -118,24 +120,26 @@ class ShardedServingRuntime : public ServingHost {
   ServingShard& shard(size_t index) { return *shards_[index]; }
   const ServingShard& shard(size_t index) const { return *shards_[index]; }
 
-  // --- ServingHost ---------------------------------------------------------
+  /// Number of pipeline instances a swap must supply (one per shard).
+  size_t ShardCount() const { return shards_.size(); }
 
-  size_t ShardCount() const override { return shards_.size(); }
-
-  /// All-or-nothing cross-shard swap; see the class comment. Expects exactly
-  /// ShardCount() pipelines (entry i -> shard i) and returns the previous
-  /// pipelines in shard order.
+  /// Atomically replaces every shard's model tier; see the class comment.
+  /// `pipelines` must have exactly ShardCount() entries (entry i goes to
+  /// shard i; nullptr detaches that shard's model tier). Returns the
+  /// previous pipelines in shard order for rollback retention. On failure
+  /// (a size mismatch or an injected FaultSite::kModelSwap) nothing is moved
+  /// out of `pipelines`, so the caller still owns them. `is_rollback`
+  /// selects which ServingStats counter each shard increments.
   Result<std::vector<std::unique_ptr<core::PrestroidPipeline>>> SwapPipelines(
-      std::vector<std::unique_ptr<core::PrestroidPipeline>> pipelines,
-      bool is_rollback) override;
+      std::vector<std::unique_ptr<core::PrestroidPipeline>>&& pipelines,
+      bool is_rollback);
 
  private:
   ShardedRuntimeConfig config_;
   MemoryTracker memory_;
   TenantQuotaTable quotas_;
   std::vector<std::unique_ptr<ServingShard>> shards_;
-  /// Facade-level governor rejections (shards count their own direct-path
-  /// rejects; routed requests are governed here exactly once).
+  /// Governor rejections: every request is governed here exactly once.
   std::atomic<size_t> limit_rejects_{0};
 };
 

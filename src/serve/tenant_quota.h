@@ -17,7 +17,7 @@ namespace prestroid::serve {
 using TenantId = uint32_t;
 
 /// Per-tenant admission budget. Zero means "unlimited" for each knob, so a
-/// default-constructed quota admits everything (the single-runtime parity
+/// default-constructed quota admits everything (the single-tenant
 /// configuration).
 struct TenantQuota {
   /// Requests a tenant may have queued or executing at once. Submissions

@@ -6,7 +6,8 @@
 ///     untouched (ISSUE criterion b);
 ///   - shadow validation rejecting a candidate that regresses on the replay
 ///     buffer;
-///   - injected crash mid-swap leaving the active model serving;
+///   - injected crash mid-swap leaving the active model serving, and a
+///     crashed rollback keeping its target for a retry;
 ///   - post-swap q-error regression rolling back automatically within the
 ///     probation window;
 ///   - a NaN-diverging retrain publishing no candidate artifact;
@@ -27,7 +28,7 @@
 #include "core/pipeline.h"
 #include "cost/serving_estimator.h"
 #include "serve/model_manager.h"
-#include "serve/serving_runtime.h"
+#include "serve/sharded_runtime.h"
 #include "util/artifact_io.h"
 #include "util/fault_injection.h"
 #include "workload/dataset.h"
@@ -177,7 +178,7 @@ std::string* ModelManagerFixture::artifact_path_ = nullptr;
 
 TEST_F(ModelManagerFixture, BootstrapPromotionActivatesACandidate) {
   auto estimator = MakeEstimator(/*with_model=*/false);
-  ServingRuntime runtime(estimator.get());
+  ShardedServingRuntime runtime({estimator.get()});
   ModelManager manager(&runtime);
   ASSERT_FALSE(estimator->has_pipeline());
 
@@ -199,7 +200,7 @@ TEST_F(ModelManagerFixture, BootstrapPromotionActivatesACandidate) {
 
 TEST_F(ModelManagerFixture, CorruptCandidateIsRejectedWithOldModelServing) {
   auto estimator = MakeEstimator(/*with_model=*/true);
-  ServingRuntime runtime(estimator.get());
+  ShardedServingRuntime runtime({estimator.get()});
   ModelManager manager(&runtime);
   const double before =
       estimator->EstimateWithFallback(SamplePlan(0), 1e9).cpu_minutes;
@@ -246,7 +247,7 @@ TEST_F(ModelManagerFixture, CorruptCandidateIsRejectedWithOldModelServing) {
 
 TEST_F(ModelManagerFixture, ShadowValidationRejectsARegressingCandidate) {
   auto estimator = MakeEstimator(/*with_model=*/true);
-  ServingRuntime runtime(estimator.get());
+  ShardedServingRuntime runtime({estimator.get()});
   ModelManagerConfig config;
   config.min_replay = 8;
   ModelManager manager(&runtime, config);
@@ -272,7 +273,7 @@ TEST_F(ModelManagerFixture, ShadowValidationRejectsARegressingCandidate) {
 
 TEST_F(ModelManagerFixture, ShadowValidationPromotesWhenTheActiveIsWorse) {
   auto estimator = MakeEstimator(/*with_model=*/true);
-  ServingRuntime runtime(estimator.get());
+  ShardedServingRuntime runtime({estimator.get()});
   ModelManagerConfig config;
   config.min_replay = 8;
   ModelManager manager(&runtime, config);
@@ -298,7 +299,7 @@ TEST_F(ModelManagerFixture, ShadowValidationPromotesWhenTheActiveIsWorse) {
 TEST_F(ModelManagerFixture, InjectedCrashMidSwapLeavesTheActiveModelIntact) {
   ScopedFaultInjection faults;
   auto estimator = MakeEstimator(/*with_model=*/true);
-  ServingRuntime runtime(estimator.get());
+  ShardedServingRuntime runtime({estimator.get()});
   ModelManager manager(&runtime);
   const double before =
       estimator->EstimateWithFallback(SamplePlan(0), 1e9).cpu_minutes;
@@ -325,9 +326,30 @@ TEST_F(ModelManagerFixture, InjectedCrashMidSwapLeavesTheActiveModelIntact) {
   EXPECT_EQ(retried->outcome, ModelLifecycle::kActive);
 }
 
+TEST_F(ModelManagerFixture, FailedRollbackKeepsThePreviousModelForARetry) {
+  ScopedFaultInjection faults;
+  auto estimator = MakeEstimator(/*with_model=*/true);
+  ShardedServingRuntime runtime({estimator.get()});
+  ModelManager manager(&runtime);
+  auto report = manager.TryPromote(*artifact_path_);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->outcome, ModelLifecycle::kActive);
+
+  // A crash mid-rollback must not discard the retained model.
+  FaultInjector::Global().ArmFailure(FaultSite::kModelSwap);
+  EXPECT_EQ(manager.Rollback("crashed").code(), StatusCode::kIoError);
+  FaultInjector::Global().Reset();
+  EXPECT_EQ(manager.MergedStats().model_rollbacks, 0u);
+
+  const Status retried = manager.Rollback("retry");
+  EXPECT_TRUE(retried.ok()) << retried.ToString();
+  EXPECT_EQ(manager.MergedStats().model_rollbacks, 1u);
+  EXPECT_TRUE(estimator->has_pipeline());
+}
+
 TEST_F(ModelManagerFixture, PostSwapRegressionRollsBackAutomatically) {
   auto estimator = MakeEstimator(/*with_model=*/true);
-  ServingRuntime runtime(estimator.get());
+  ShardedServingRuntime runtime({estimator.get()});
   ModelManagerConfig config;
   config.drift_window = 8;
   config.min_probation = 4;
@@ -374,7 +396,7 @@ TEST_F(ModelManagerFixture, PostSwapRegressionRollsBackAutomatically) {
 
 TEST_F(ModelManagerFixture, SurvivingProbationConfirmsTheNewModel) {
   auto estimator = MakeEstimator(/*with_model=*/true);
-  ServingRuntime runtime(estimator.get());
+  ShardedServingRuntime runtime({estimator.get()});
   ModelManagerConfig config;
   config.drift_window = 8;
   config.min_probation = 2;
@@ -409,7 +431,7 @@ TEST_F(ModelManagerFixture, SurvivingProbationConfirmsTheNewModel) {
 
 TEST_F(ModelManagerFixture, DriftGateFlagsASustainedRegression) {
   auto estimator = MakeEstimator(/*with_model=*/true);
-  ServingRuntime runtime(estimator.get());
+  ShardedServingRuntime runtime({estimator.get()});
   ModelManagerConfig config;
   config.drift_window = 8;
   config.drift_threshold = 2.0;
@@ -483,7 +505,7 @@ TEST_F(ModelManagerFixture, DivergingRetrainPublishesNoCandidate) {
   EXPECT_TRUE(ValidateArtifactFile(config.candidate_path).ok());
 
   auto estimator = MakeEstimator(/*with_model=*/false);
-  ServingRuntime runtime(estimator.get());
+  ShardedServingRuntime runtime({estimator.get()});
   ModelManager manager(&runtime);
   auto promoted = manager.TryPromote(config.candidate_path);
   ASSERT_TRUE(promoted.ok());

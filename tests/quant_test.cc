@@ -25,7 +25,7 @@
 #include "core/quant_profile.h"
 #include "cost/serving_estimator.h"
 #include "nn/quantize.h"
-#include "serve/serving_runtime.h"
+#include "serve/sharded_runtime.h"
 #include "tensor/execution_context.h"
 #include "tensor/kernels/gemm_quant.h"
 #include "tensor/kernels/kernel_registry.h"
@@ -513,14 +513,14 @@ TEST_F(QuantPipelineFixture, ShardServesInt8AndCountsQuantizedBatches) {
   auto reference = LoadPipeline();
   estimator->AttachPipeline(LoadPipeline());
 
-  serve::ServingRuntimeConfig config;
-  config.max_batch = 8;
-  config.batch_window_us = 100;
-  config.precision = Precision::kInt8;  // no profile: dynamic scales
-  serve::ServingRuntime runtime(estimator.get(), config);
+  serve::ShardedRuntimeConfig config;
+  config.shard.max_batch = 8;
+  config.shard.batch_window_us = 100;
+  config.shard.precision = Precision::kInt8;  // no profile: dynamic scales
+  serve::ShardedServingRuntime runtime({estimator.get()}, config);
   ASSERT_TRUE(runtime.Start().ok());
-  EXPECT_EQ(runtime.shard().active_precision(), Precision::kInt8);
-  EXPECT_GT(runtime.shard().resident_weight_bytes(), 0u);
+  EXPECT_EQ(runtime.shard(0).active_precision(), Precision::kInt8);
+  EXPECT_GT(runtime.shard(0).resident_weight_bytes(), 0u);
 
   constexpr size_t kPlans = 12;
   std::vector<std::future<cost::ServingEstimate>> futures;
@@ -548,17 +548,17 @@ TEST_F(QuantPipelineFixture, ShardFallsBackToFp32OnBadProfile) {
   ASSERT_TRUE(estimator->FitFallbacks(*records_).ok());
   estimator->AttachPipeline(LoadPipeline());
 
-  serve::ServingRuntimeConfig config;
-  config.max_batch = 4;
-  config.batch_window_us = 100;
-  config.precision = Precision::kInt8;
+  serve::ShardedRuntimeConfig config;
+  config.shard.max_batch = 4;
+  config.shard.batch_window_us = 100;
+  config.shard.precision = Precision::kInt8;
   auto bogus = std::make_shared<core::QuantizationProfile>();
   bogus->layers.resize(1);  // layer-count mismatch
-  config.quant_profile = bogus;
-  serve::ServingRuntime runtime(estimator.get(), config);
+  config.shard.quant_profile = bogus;
+  serve::ShardedServingRuntime runtime({estimator.get()}, config);
   ASSERT_TRUE(runtime.Start().ok());
   // The shard must keep serving (fp32), not crash or refuse.
-  EXPECT_EQ(runtime.shard().active_precision(), Precision::kFp32);
+  EXPECT_EQ(runtime.shard(0).active_precision(), Precision::kFp32);
   auto submitted = runtime.Submit(*(*records_)[0].plan, 1e9);
   ASSERT_TRUE(submitted.ok());
   const cost::ServingEstimate estimate = submitted->get();

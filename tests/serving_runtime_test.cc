@@ -1,8 +1,10 @@
-/// Tests for the concurrent batched serving runtime (serve/):
+/// Tests for the concurrent batched serving runtime (serve/), driven through
+/// a one-shard ShardedServingRuntime:
 ///   - plan fingerprints cover exactly the recast-consumed fields;
 ///   - the LRU feature cache counts hits/misses/evictions and retires
 ///     generations on invalidation;
-///   - batched serving matches single-query serving to 1e-5;
+///   - batched serving matches single-query serving to 1e-5, including a
+///     batch of one;
 ///   - deadline expiry while queued degrades per item instead of failing;
 ///   - queue overflow rejects with kResourceExhausted without blocking;
 ///   - multi-producer submission is safe (run under TSan in CI).
@@ -22,7 +24,7 @@
 #include "plan/plan_node.h"
 #include "serve/plan_cache.h"
 #include "serve/plan_fingerprint.h"
-#include "serve/serving_runtime.h"
+#include "serve/sharded_runtime.h"
 #include "sql/ast.h"
 #include "workload/dataset.h"
 
@@ -217,6 +219,30 @@ class ServingRuntimeFixture : public ::testing::Test {
 std::vector<workload::QueryRecord>* ServingRuntimeFixture::records_ = nullptr;
 std::string* ServingRuntimeFixture::artifact_path_ = nullptr;
 
+ShardedRuntimeConfig OneShard(ServingRuntimeConfig shard) {
+  ShardedRuntimeConfig config;
+  config.shard = shard;
+  return config;
+}
+
+/// Submits one plan and waits for its answer.
+cost::ServingEstimate EstimateNow(ShardedServingRuntime& runtime,
+                                  const plan::PlanNode& plan) {
+  return runtime.Submit(plan, /*deadline_ms=*/1e9).ValueOrDie().get();
+}
+
+/// Swaps `pipeline` into a one-shard runtime and returns the previous one.
+Result<std::unique_ptr<core::PrestroidPipeline>> SwapOne(
+    ShardedServingRuntime& runtime,
+    std::unique_ptr<core::PrestroidPipeline> pipeline,
+    bool is_rollback = false) {
+  std::vector<std::unique_ptr<core::PrestroidPipeline>> pipelines;
+  pipelines.push_back(std::move(pipeline));
+  auto swapped = runtime.SwapPipelines(std::move(pipelines), is_rollback);
+  if (!swapped.ok()) return swapped.status();
+  return std::move((*swapped)[0]);
+}
+
 TEST_F(ServingRuntimeFixture, BatchedMatchesSingleQueryServing) {
   auto estimator = MakeEstimator();
   // Single-query references through an independent instance of the same
@@ -233,7 +259,7 @@ TEST_F(ServingRuntimeFixture, BatchedMatchesSingleQueryServing) {
   ServingRuntimeConfig config;
   config.max_batch = 8;
   config.batch_window_us = 100;
-  ServingRuntime runtime(estimator.get(), config);
+  ShardedServingRuntime runtime({estimator.get()}, OneShard(config));
   ASSERT_TRUE(runtime.Start().ok());
 
   std::vector<std::future<cost::ServingEstimate>> futures;
@@ -261,7 +287,7 @@ TEST_F(ServingRuntimeFixture, DeadlineExpiredWhileQueuedDegradesPerItem) {
   auto estimator = MakeEstimator();
   ServingRuntimeConfig config;
   config.max_batch = 4;
-  ServingRuntime runtime(estimator.get(), config);
+  ShardedServingRuntime runtime({estimator.get()}, OneShard(config));
 
   // Enqueue before Start so the deadline deterministically expires while the
   // request is still queued.
@@ -292,7 +318,7 @@ TEST_F(ServingRuntimeFixture, QueueOverflowRejectsWithoutBlocking) {
   ServingRuntimeConfig config;
   config.queue_depth = 4;
   config.max_batch = 2;
-  ServingRuntime runtime(&estimator, config);
+  ShardedServingRuntime runtime({&estimator}, OneShard(config));
 
   std::vector<std::future<cost::ServingEstimate>> accepted;
   for (size_t i = 0; i < config.queue_depth; ++i) {
@@ -319,24 +345,12 @@ TEST_F(ServingRuntimeFixture, QueueOverflowRejectsWithoutBlocking) {
   EXPECT_EQ(after.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST_F(ServingRuntimeFixture, EstimateWithoutStartFailsFastInsteadOfHanging) {
-  // Regression: the blocking wrapper used to deadlock when called against a
-  // runtime whose worker was never started — the future can never resolve.
-  // It must fail fast with kFailedPrecondition instead.
-  cost::ServingEstimator estimator;
-  ServingRuntime runtime(&estimator, {});
-  auto blocked = runtime.Estimate(SamplePlan(0), 1e9);
-  ASSERT_FALSE(blocked.ok());
-  EXPECT_EQ(blocked.status().code(), StatusCode::kFailedPrecondition);
-  runtime.Shutdown();
-}
-
 TEST_F(ServingRuntimeFixture, RestartResetsTheQueueHighWatermark) {
   cost::ServingEstimator estimator;  // fallbacks only — plenty for a drain
   ServingRuntimeConfig config;
   config.queue_depth = 4;
   config.max_batch = 2;
-  ServingRuntime runtime(&estimator, config);
+  ShardedServingRuntime runtime({&estimator}, OneShard(config));
 
   // First run: fill the queue before Start so the watermark deterministically
   // reaches the full depth.
@@ -361,14 +375,12 @@ TEST_F(ServingRuntimeFixture, RestartResetsTheQueueHighWatermark) {
 TEST_F(ServingRuntimeFixture, CacheReusesFeaturesUntilInvalidated) {
   auto estimator = MakeEstimator();
   ServingRuntimeConfig config;
-  config.max_batch = 4;  // >= 2 so the fingerprint cache engages
-  ServingRuntime runtime(estimator.get(), config);
+  config.max_batch = 4;
+  ShardedServingRuntime runtime({estimator.get()}, OneShard(config));
   ASSERT_TRUE(runtime.Start().ok());
 
-  const cost::ServingEstimate first =
-      runtime.Estimate(SamplePlan(0), 1e9).ValueOrDie();
-  const cost::ServingEstimate second =
-      runtime.Estimate(SamplePlan(0), 1e9).ValueOrDie();
+  const cost::ServingEstimate first = EstimateNow(runtime, SamplePlan(0));
+  const cost::ServingEstimate second = EstimateNow(runtime, SamplePlan(0));
   ASSERT_EQ(first.tier, cost::ServingTier::kModel);
   ASSERT_EQ(second.tier, cost::ServingTier::kModel);
   // Identical plan, identical features: bitwise-equal model answers.
@@ -380,8 +392,7 @@ TEST_F(ServingRuntimeFixture, CacheReusesFeaturesUntilInvalidated) {
   // Catalog churn / artifact swap: invalidation retires the cached encoding,
   // so the same plan featurizes again under the new generation.
   runtime.InvalidateCache();
-  const cost::ServingEstimate third =
-      runtime.Estimate(SamplePlan(0), 1e9).ValueOrDie();
+  const cost::ServingEstimate third = EstimateNow(runtime, SamplePlan(0));
   ASSERT_EQ(third.tier, cost::ServingTier::kModel);
   EXPECT_EQ(third.cpu_minutes, first.cpu_minutes);  // same pipeline, same answer
   stats = runtime.StatsSnapshot();
@@ -390,20 +401,28 @@ TEST_F(ServingRuntimeFixture, CacheReusesFeaturesUntilInvalidated) {
   runtime.Shutdown();
 }
 
-TEST_F(ServingRuntimeFixture, LegacySingleQueryPathSkipsTheCache) {
+TEST_F(ServingRuntimeFixture, BatchOfOneUsesTheCacheAndKeepsParity) {
+  // max_batch = 1 has no path of its own: a batch of one is featurized once,
+  // cached, and run through the same fused forward as any other batch.
   auto estimator = MakeEstimator();
+  const double reference = core::PrestroidPipeline::LoadFile(*artifact_path_)
+                               .ValueOrDie()
+                               ->PredictPlan(SamplePlan(0))
+                               .ValueOrDie();
   ServingRuntimeConfig config;
-  config.max_batch = 1;  // legacy per-request path
-  ServingRuntime runtime(estimator.get(), config);
+  config.max_batch = 1;
+  ShardedServingRuntime runtime({estimator.get()}, OneShard(config));
   ASSERT_TRUE(runtime.Start().ok());
-  const cost::ServingEstimate a =
-      runtime.Estimate(SamplePlan(0), 1e9).ValueOrDie();
-  const cost::ServingEstimate b =
-      runtime.Estimate(SamplePlan(0), 1e9).ValueOrDie();
-  EXPECT_EQ(a.tier, cost::ServingTier::kModel);
-  EXPECT_EQ(a.cpu_minutes, b.cpu_minutes);
+  constexpr size_t kRepeats = 3;
+  for (size_t i = 0; i < kRepeats; ++i) {
+    const cost::ServingEstimate estimate = EstimateNow(runtime, SamplePlan(0));
+    ASSERT_EQ(estimate.tier, cost::ServingTier::kModel)
+        << estimate.degradation_reason.ToString();
+    EXPECT_NEAR(estimate.cpu_minutes, reference, 1e-5);
+  }
   const cost::ServingStats stats = runtime.StatsSnapshot();
-  EXPECT_EQ(stats.cache_hits + stats.cache_misses, 0u);
+  EXPECT_EQ(stats.cache_misses, 1u);
+  EXPECT_EQ(stats.cache_hits, kRepeats - 1);
   runtime.Shutdown();
 }
 
@@ -411,11 +430,10 @@ TEST_F(ServingRuntimeFixture, SwapPipelineIsAtomicAndBumpsTheCacheGeneration) {
   auto estimator = MakeEstimator();
   ServingRuntimeConfig config;
   config.max_batch = 4;
-  ServingRuntime runtime(estimator.get(), config);
+  ShardedServingRuntime runtime({estimator.get()}, OneShard(config));
   ASSERT_TRUE(runtime.Start().ok());
 
-  const cost::ServingEstimate before =
-      runtime.Estimate(SamplePlan(0), 1e9).ValueOrDie();
+  const cost::ServingEstimate before = EstimateNow(runtime, SamplePlan(0));
   ASSERT_EQ(before.tier, cost::ServingTier::kModel);
   cost::ServingStats stats = runtime.StatsSnapshot();
   EXPECT_EQ(stats.cache_misses, 1u);
@@ -427,12 +445,11 @@ TEST_F(ServingRuntimeFixture, SwapPipelineIsAtomicAndBumpsTheCacheGeneration) {
   // model — with a bit-identical answer, since the weights are identical.
   auto replacement =
       core::PrestroidPipeline::LoadFile(*artifact_path_).ValueOrDie();
-  auto previous = runtime.SwapPipeline(std::move(replacement));
+  auto previous = SwapOne(runtime, std::move(replacement));
   ASSERT_TRUE(previous.ok()) << previous.status().ToString();
   EXPECT_NE(*previous, nullptr);
 
-  const cost::ServingEstimate after =
-      runtime.Estimate(SamplePlan(0), 1e9).ValueOrDie();
+  const cost::ServingEstimate after = EstimateNow(runtime, SamplePlan(0));
   ASSERT_EQ(after.tier, cost::ServingTier::kModel);
   EXPECT_EQ(after.cpu_minutes, before.cpu_minutes);
   stats = runtime.StatsSnapshot();
@@ -441,17 +458,17 @@ TEST_F(ServingRuntimeFixture, SwapPipelineIsAtomicAndBumpsTheCacheGeneration) {
   EXPECT_EQ(stats.model_rollbacks, 0u);
 
   // Rolling the retained pipeline back counts on the rollback counter.
-  auto rolled = runtime.SwapPipeline(std::move(*previous), /*is_rollback=*/true);
+  auto rolled =
+      SwapOne(runtime, std::move(*previous), /*is_rollback=*/true);
   ASSERT_TRUE(rolled.ok());
   stats = runtime.StatsSnapshot();
   EXPECT_EQ(stats.model_swaps, 1u);
   EXPECT_EQ(stats.model_rollbacks, 1u);
 
   // Detaching (nullptr) degrades to the fallback chain instead of failing.
-  auto detached = runtime.SwapPipeline(nullptr);
+  auto detached = SwapOne(runtime, nullptr);
   ASSERT_TRUE(detached.ok());
-  const cost::ServingEstimate degraded =
-      runtime.Estimate(SamplePlan(0), 1e9).ValueOrDie();
+  const cost::ServingEstimate degraded = EstimateNow(runtime, SamplePlan(0));
   EXPECT_NE(degraded.tier, cost::ServingTier::kModel);
   EXPECT_TRUE(std::isfinite(degraded.cpu_minutes));
   runtime.Shutdown();
@@ -479,7 +496,7 @@ TEST_F(ServingRuntimeFixture, HotSwapUnderConcurrentLoadKeepsParity) {
   config.max_batch = 4;
   config.batch_window_us = 50;
   config.cache_entries = 8;
-  ServingRuntime runtime(estimator.get(), config);
+  ShardedServingRuntime runtime({estimator.get()}, OneShard(config));
   ASSERT_TRUE(runtime.Start().ok());
 
   std::atomic<size_t> served{0};
@@ -531,7 +548,7 @@ TEST_F(ServingRuntimeFixture, HotSwapUnderConcurrentLoadKeepsParity) {
     auto next = core::PrestroidPipeline::LoadFile(*artifact_path_).ValueOrDie();
     for (size_t s = 0; s < kSwaps; ++s) {
       auto swapped =
-          runtime.SwapPipeline(std::move(next), /*is_rollback=*/s % 2 == 1);
+          SwapOne(runtime, std::move(next), /*is_rollback=*/s % 2 == 1);
       if (!swapped.ok() || *swapped == nullptr) {
         ++swap_failures;
         next = core::PrestroidPipeline::LoadFile(*artifact_path_).ValueOrDie();
@@ -565,7 +582,7 @@ TEST_F(ServingRuntimeFixture, MultiProducerStressIsSafe) {
   config.max_batch = 4;
   config.batch_window_us = 50;
   config.cache_entries = 8;  // smaller than the plan pool: exercises eviction
-  ServingRuntime runtime(estimator.get(), config);
+  ShardedServingRuntime runtime({estimator.get()}, OneShard(config));
   ASSERT_TRUE(runtime.Start().ok());
 
   constexpr size_t kThreads = 4;
