@@ -163,7 +163,7 @@ ScenarioResult RunScenario(const std::vector<workload::QueryRecord>& records,
                            size_t connections, size_t total_requests,
                            size_t shards) {
   Stack stack(records, shards, /*max_connections=*/2 * connections + 8,
-              /*batch_window_us=*/200);
+              serve::ServingRuntimeConfig{}.batch_window_us);
   std::atomic<size_t> next{0};
   std::vector<ClientOutcome> outcomes(connections);
   const auto start = std::chrono::steady_clock::now();

@@ -10,7 +10,7 @@
 //                 [--limit 10]
 //   prestroid_cli serve     --model /tmp/model.ppl --trace /tmp/new.txt
 //                 [--deadline-ms 50] [--no-model] [--limit 20]
-//                 [--batch-window-us 200] [--max-batch 32]
+//                 [--batch-window-us 0] [--max-batch 32]
 //                 [--queue-depth 256] [--cache-entries 1024]
 //                 [--shards 1] [--tenants 1]
 //                 [--tenant-quota T:INFLIGHT[:BYTES][,T:...]]
@@ -485,8 +485,9 @@ int StartServingTier(const Flags& flags,
   config.shard.queue_depth =
       static_cast<size_t>(flags.GetInt("queue-depth", 256));
   config.shard.max_batch = static_cast<size_t>(flags.GetInt("max-batch", 32));
-  config.shard.batch_window_us =
-      static_cast<size_t>(flags.GetInt("batch-window-us", 200));
+  config.shard.batch_window_us = static_cast<size_t>(flags.GetInt(
+      "batch-window-us",
+      static_cast<long>(serve::ServingRuntimeConfig{}.batch_window_us)));
   config.shard.cache_entries =
       static_cast<size_t>(flags.GetInt("cache-entries", 1024));
   config.shard.plan_limits = PlanLimitsFromFlags(flags);
@@ -768,8 +769,9 @@ int ServeHttp(const Flags& flags, const std::string& host, uint16_t port,
   Status ran = server.Run(signals.drain_fd());
 
   // Shutdown order matters: stop the retrain thread (it borrows nothing from
-  // the runtime), then Shutdown() the runtime (resolves every queued
-  // future), and only then release the service's parked plans.
+  // the runtime), then Shutdown() the runtime (runs every queued request's
+  // callback; the stopped loop drops their answers and frees their plans),
+  // and only then detach the service's labeled hook.
   if (retrain_thread.joinable()) {
     {
       std::lock_guard<std::mutex> lock(obs_mu);
@@ -1048,7 +1050,8 @@ int Usage() {
          "            [--clip-pct P (calibration absmax percentile, 99.0)]\n"
          "  predict   --model FILE --trace FILE [--limit N]\n"
          "  serve     --model FILE --trace FILE [--deadline-ms MS]\n"
-         "            [--no-model] [--limit N] [--batch-window-us US]\n"
+         "            [--no-model] [--limit N]\n"
+         "            [--batch-window-us US (0=work-conserving, default)]\n"
          "            [--max-batch B] [--queue-depth Q] [--cache-entries C]\n"
          "            [--max-plan-nodes N] [--max-plan-depth D]\n"
          "            [--quarantine-file FILE]\n"

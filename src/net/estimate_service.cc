@@ -1,6 +1,5 @@
 #include "net/estimate_service.h"
 
-#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <set>
@@ -118,15 +117,18 @@ EstimateService::EstimateService(serve::ShardedServingRuntime* runtime,
 
 void EstimateService::RegisterRoutes(HttpServer* server) {
   server_ = server;
-  server->Route("POST", "/estimate", [this](const HttpRequest& request) {
-    return HandleEstimate(request);
-  });
+  server->Route("POST", "/estimate",
+                [this](const HttpRequest& request, const Responder& responder) {
+                  return HandleEstimate(request, responder);
+                });
   server->Route("GET", "/healthz",
-                [this](const HttpRequest& request) -> HandlerResult {
+                [this](const HttpRequest& request,
+                       const Responder&) -> HandlerResult {
                   return HandleHealthz(request);
                 });
   server->Route("GET", "/metrics",
-                [this](const HttpRequest& request) -> HandlerResult {
+                [this](const HttpRequest& request,
+                       const Responder&) -> HandlerResult {
                   return HandleMetrics(request);
                 });
 }
@@ -138,7 +140,7 @@ void EstimateService::SetLabeledObservationHook(LabeledObservationFn hook) {
 
 void EstimateService::Shutdown() {
   std::lock_guard<std::mutex> lock(mu_);
-  inflight_.clear();
+  labeled_hook_ = nullptr;
 }
 
 HistogramSnapshot EstimateService::RequestLatencySnapshot() const {
@@ -147,8 +149,7 @@ HistogramSnapshot EstimateService::RequestLatencySnapshot() const {
 }
 
 size_t EstimateService::InflightCount() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return inflight_.size();
+  return inflight_count_.load(std::memory_order_relaxed);
 }
 
 uint64_t EstimateService::DuplicateLabelsSuppressed() const {
@@ -210,13 +211,31 @@ HttpResponse EstimateService::BuildEstimateBody(
   return response;
 }
 
-void EstimateService::Remove(const std::shared_ptr<Inflight>& state) {
-  std::lock_guard<std::mutex> lock(mu_);
-  inflight_.erase(std::remove(inflight_.begin(), inflight_.end(), state),
-                  inflight_.end());
+HttpResponse EstimateService::FinishEstimate(
+    Inflight& state, const cost::ServingEstimate& estimate) {
+  const double elapsed_ms = std::chrono::duration<double, std::milli>(
+                                Clock::now() - state.dispatched)
+                                .count();
+  LabeledObservationFn hook;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    request_latency_.Record(elapsed_ms);
+    if (state.has_actual) {
+      // The dedup decision happens at *delivery* time, atomically with
+      // marking the key seen: two in-flight retries carrying the same key
+      // finish in some order on the loop thread, and exactly one wins.
+      if (state.idempotency_key.empty() ||
+          MarkKeyDeliveredLocked(state.idempotency_key)) {
+        hook = labeled_hook_;
+      }
+    }
+  }
+  if (hook) hook(std::move(state.plan), estimate, state.actual_cpu_minutes);
+  return BuildEstimateBody(estimate);
 }
 
-HandlerResult EstimateService::HandleEstimate(const HttpRequest& request) {
+HandlerResult EstimateService::HandleEstimate(const HttpRequest& request,
+                                              const Responder& responder) {
   double deadline_ms = config_.default_deadline_ms;
   if (const std::string* header = request.FindHeader("x-deadline-ms")) {
     if (!ParseDoubleStrict(*header, &deadline_ms) || deadline_ms < 0) {
@@ -232,7 +251,7 @@ HandlerResult EstimateService::HandleEstimate(const HttpRequest& request) {
     }
     tenant = static_cast<serve::TenantId>(parsed);
   }
-  auto state = std::make_shared<Inflight>();
+  auto state = std::make_shared<Inflight>(&inflight_count_);
   if (const std::string* header =
           request.FindHeader("x-actual-cpu-minutes")) {
     if (!ParseDoubleStrict(*header, &state->actual_cpu_minutes)) {
@@ -252,51 +271,20 @@ HandlerResult EstimateService::HandleEstimate(const HttpRequest& request) {
   state->plan = std::move(plan).value();
   state->dispatched = Clock::now();
 
-  Result<std::future<cost::ServingEstimate>> submitted =
-      runtime_->Submit(*state->plan, deadline_ms, tenant);
-  if (!submitted.ok()) return ErrorResponse(submitted.status());
-  state->future = std::move(submitted).value();
-  {
-    // Park the plan: the runtime borrows it until the future resolves, and
-    // the connection (hence the PendingResponse closure) can be abandoned
-    // first.
-    std::lock_guard<std::mutex> lock(mu_);
-    inflight_.push_back(state);
-  }
-
-  PendingResponse pending;
-  pending.poll = [this, state](HttpResponse* out) {
-    if (state->future.wait_for(std::chrono::seconds(0)) !=
-        std::future_status::ready) {
-      return false;
-    }
-    const cost::ServingEstimate estimate = state->future.get();
-    *out = BuildEstimateBody(estimate);
-    const double elapsed_ms =
-        std::chrono::duration<double, std::milli>(Clock::now() -
-                                                  state->dispatched)
-            .count();
-    LabeledObservationFn hook;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      request_latency_.Record(elapsed_ms);
-      if (state->has_actual) {
-        // The dedup decision happens at *delivery* time, atomically with
-        // marking the key seen: two in-flight retries carrying the same key
-        // resolve in some order on the loop thread, and exactly one wins.
-        if (state->idempotency_key.empty() ||
-            MarkKeyDeliveredLocked(state->idempotency_key)) {
-          hook = labeled_hook_;
-        }
-      }
-    }
-    Remove(state);
-    if (hook) {
-      hook(std::move(state->plan), estimate, state->actual_cpu_minutes);
-    }
-    return true;
-  };
-  return pending;
+  // The runtime borrows the plan until this callback runs; the callback then
+  // moves the request's state into the finish step it queues for the loop.
+  const plan::PlanNode& borrowed = *state->plan;
+  Status submitted = runtime_->Submit(
+      borrowed, deadline_ms, tenant,
+      [this, state = std::move(state),
+       responder](cost::ServingEstimate estimate) mutable {
+        responder.Complete(
+            [this, state = std::move(state), estimate = std::move(estimate)] {
+              return FinishEstimate(*state, estimate);
+            });
+      });
+  if (!submitted.ok()) return ErrorResponse(submitted);
+  return std::nullopt;
 }
 
 HttpResponse EstimateService::HandleHealthz(const HttpRequest& /*request*/) {

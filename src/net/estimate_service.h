@@ -1,16 +1,15 @@
 #ifndef PRESTROID_NET_ESTIMATE_SERVICE_H_
 #define PRESTROID_NET_ESTIMATE_SERVICE_H_
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_set>
-#include <vector>
 
 #include "cost/serving_estimator.h"
 #include "net/http_server.h"
@@ -60,21 +59,26 @@ struct EstimateServiceConfig {
 ///   GET /healthz     liveness + shard count.
 ///   GET /metrics     Prometheus text exposition (net/metrics.h).
 ///
-/// Handlers run on the server's event-loop thread. /estimate returns a
-/// PendingResponse so the loop keeps serving other connections while the
+/// Handlers run on the server's event-loop thread. /estimate keeps its
+/// Responder, so the loop keeps serving other connections while the
 /// runtime's batch workers compute; concurrent requests micro-batch inside
-/// the runtime.
+/// the runtime. The runtime's completion callback hands the answer to the
+/// Responder, and the loop finishes the request on its own thread: it
+/// records the latency, runs the X-Idempotency-Key dedup and the labeled
+/// hook, and writes the response if the client is still connected.
 ///
-/// Plan lifetime: the runtime borrows submitted plans until their futures
-/// resolve, so the service parks each in-flight plan in a registry that
-/// outlives any abandoned connection (a client hanging up — or a drain
-/// force-close — must not free a plan a batch worker is reading). Call
-/// Shutdown() only AFTER runtime->Shutdown() has resolved every future.
+/// Plan lifetime: each request's state (the parsed plan the runtime
+/// borrows) is owned by its completion callback, then by the finish step it
+/// hands to the loop, so it lives exactly as long as the request — a client
+/// hanging up cannot free a plan a batch worker is reading, and an answer
+/// nobody waits for frees its plan when the loop drops it. Shut the runtime
+/// down (running every callback) before destroying the service.
 class EstimateService {
  public:
   /// Called (on the event-loop thread) for each completed estimate whose
-  /// request carried X-Actual-Cpu-Minutes; receives ownership of the plan.
-  /// Wire this to the continual-retraining pipeline.
+  /// request carried X-Actual-Cpu-Minutes — also when its client has hung
+  /// up; receives ownership of the plan. Wire this to the
+  /// continual-retraining pipeline.
   using LabeledObservationFn = std::function<void(
       plan::PlanNodePtr plan, const cost::ServingEstimate& estimate,
       double actual_cpu_minutes)>;
@@ -88,14 +92,17 @@ class EstimateService {
 
   void SetLabeledObservationHook(LabeledObservationFn hook);
 
-  /// Releases plans parked for requests whose connections were abandoned.
-  /// Precondition: runtime->Shutdown() already ran (all futures resolved).
+  /// Detaches the labeled-observation hook: estimates finished after this
+  /// call are still answered but feed no observation, so the hook's target
+  /// (the continual loop) can be torn down next. Call it after
+  /// runtime->Shutdown().
   void Shutdown();
 
   /// HTTP-side end-to-end latency distribution (dispatch -> response built).
   HistogramSnapshot RequestLatencySnapshot() const;
 
-  /// In-flight /estimate requests (parked plans). Exposed for tests.
+  /// /estimate requests whose state (parsed plan) is still alive: submitted
+  /// and not yet finished or dropped by the event loop. Exposed for tests.
   size_t InflightCount() const;
 
   /// Labeled observations suppressed because their X-Idempotency-Key was
@@ -103,16 +110,25 @@ class EstimateService {
   uint64_t DuplicateLabelsSuppressed() const;
 
  private:
+  /// One /estimate request in flight; counts itself in `live`.
   struct Inflight {
+    explicit Inflight(std::atomic<size_t>* live) : live(live) {
+      live->fetch_add(1, std::memory_order_relaxed);
+    }
+    ~Inflight() { live->fetch_sub(1, std::memory_order_relaxed); }
+    Inflight(const Inflight&) = delete;
+    Inflight& operator=(const Inflight&) = delete;
+
+    std::atomic<size_t>* live;
     plan::PlanNodePtr plan;
-    std::future<cost::ServingEstimate> future;
     std::chrono::steady_clock::time_point dispatched;
     double actual_cpu_minutes = 0.0;
     bool has_actual = false;
     std::string idempotency_key;
   };
 
-  HandlerResult HandleEstimate(const HttpRequest& request);
+  HandlerResult HandleEstimate(const HttpRequest& request,
+                               const Responder& responder);
   HttpResponse HandleHealthz(const HttpRequest& request);
   HttpResponse HandleMetrics(const HttpRequest& request);
 
@@ -122,7 +138,9 @@ class EstimateService {
   Result<plan::PlanNodePtr> ParseBody(const HttpRequest& request);
 
   HttpResponse BuildEstimateBody(const cost::ServingEstimate& estimate);
-  void Remove(const std::shared_ptr<Inflight>& state);
+  /// The loop-thread half of a request: latency, dedup, labeled hook, body.
+  HttpResponse FinishEstimate(Inflight& state,
+                              const cost::ServingEstimate& estimate);
 
   serve::ShardedServingRuntime* runtime_;
   EstimateServiceConfig config_;
@@ -132,8 +150,8 @@ class EstimateService {
   /// must then suppress the labeled hook). Caller holds mu_.
   bool MarkKeyDeliveredLocked(const std::string& key);
 
+  std::atomic<size_t> inflight_count_{0};
   mutable std::mutex mu_;
-  std::vector<std::shared_ptr<Inflight>> inflight_;
   LatencyHistogram request_latency_;
   LabeledObservationFn labeled_hook_;
   // Delivered-label dedup window (guards at-most-once under client retries).

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <utility>
 
 namespace prestroid::net {
 
@@ -28,14 +29,63 @@ void DrainPipe(int fd) {
 
 }  // namespace
 
-HttpServer::HttpServer(HttpServerConfig config) : config_(std::move(config)) {}
+/// The loop-owned completion queue behind every Responder, and the self-pipe
+/// that wakes the loop for completions and drain requests. Shared by the
+/// server and its Responders: the last owner closes the pipe.
+struct CompletionQueue {
+  struct Entry {
+    uint64_t connection_id;
+    std::function<HttpResponse()> finish;
+  };
+
+  ~CompletionQueue() {
+    if (wake_read_fd >= 0) ::close(wake_read_fd);
+    if (wake_write_fd >= 0) ::close(wake_write_fd);
+  }
+
+  /// Makes the loop's next poll(2) return. EAGAIN means the pipe is full,
+  /// i.e. a wakeup is already pending, so the result is ignored.
+  void Wake() const {
+    if (wake_write_fd < 0) return;
+    const char byte = 1;
+    [[maybe_unused]] ssize_t ignored = ::write(wake_write_fd, &byte, 1);
+  }
+
+  // Set once by HttpServer::Start(), before any Responder exists.
+  int wake_read_fd = -1;
+  int wake_write_fd = -1;
+
+  std::mutex mu;
+  std::vector<Entry> entries;  // guarded by mu
+  bool closed = false;         // guarded by mu: Run() has returned
+  uint64_t wakeups = 0;        // guarded by mu
+  uint64_t dropped = 0;        // guarded by mu: arrived after Run() returned
+};
+
+void Responder::Complete(std::function<HttpResponse()> finish) const {
+  std::lock_guard<std::mutex> lock(queue_->mu);
+  if (queue_->closed) {
+    ++queue_->dropped;
+    return;  // `finish` (and the state it owns) is released unrun
+  }
+  queue_->entries.push_back({connection_id_, std::move(finish)});
+  // Only the empty -> non-empty edge wakes the loop: the rest of a batch's
+  // completions ride the same wakeup. Writing under the lock keeps the edge
+  // exact against the loop's swap.
+  if (queue_->entries.size() == 1) {
+    ++queue_->wakeups;
+    queue_->Wake();
+  }
+}
+
+HttpServer::HttpServer(HttpServerConfig config)
+    : config_(std::move(config)),
+      completions_(std::make_shared<CompletionQueue>()) {}
 
 HttpServer::~HttpServer() {
   for (auto& conn : conns_) {
     if (conn->fd >= 0) ::close(conn->fd);
   }
-  if (wake_read_fd_ >= 0) ::close(wake_read_fd_);
-  if (wake_write_fd_ >= 0) ::close(wake_write_fd_);
 }
 
 void HttpServer::Route(const std::string& method, const std::string& path,
@@ -46,23 +96,28 @@ void HttpServer::Route(const std::string& method, const std::string& path,
 Status HttpServer::Start() {
   int fds[2];
   if (::pipe(fds) != 0) return Status::FromErrno("pipe", errno);
+  completions_->wake_read_fd = fds[0];
+  completions_->wake_write_fd = fds[1];
   PRESTROID_RETURN_NOT_OK(SetNonBlocking(fds[0]));
   PRESTROID_RETURN_NOT_OK(SetNonBlocking(fds[1]));
-  wake_read_fd_ = fds[0];
-  wake_write_fd_ = fds[1];
   return listener_.Listen(config_.host, config_.port);
 }
 
 void HttpServer::RequestDrain() {
-  if (wake_write_fd_ >= 0) {
-    const char byte = 1;
-    [[maybe_unused]] ssize_t ignored = ::write(wake_write_fd_, &byte, 1);
-  }
+  drain_requested_.store(true);
+  completions_->Wake();
 }
 
 HttpServerStats HttpServer::StatsSnapshot() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return stats_;
+  HttpServerStats stats;
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    stats = stats_;
+  }
+  std::lock_guard<std::mutex> lock(completions_->mu);
+  stats.completion_wakeups = completions_->wakeups;
+  stats.completions_dropped += completions_->dropped;
+  return stats;
 }
 
 void HttpServer::CountResponse(int code) {
@@ -143,18 +198,50 @@ void HttpServer::Dispatch(Connection& conn, const HttpRequest& request) {
     EnqueueResponse(conn, response, request.KeepAlive());
     return;
   }
-  HandlerResult result = match->handler(request);
-  if (std::holds_alternative<HttpResponse>(result)) {
-    EnqueueResponse(conn, std::get<HttpResponse>(result), request.KeepAlive());
+  HandlerResult result =
+      match->handler(request, Responder(completions_, conn.id));
+  if (result) {
+    EnqueueResponse(conn, *result, request.KeepAlive());
   } else {
-    conn.pending = std::move(std::get<PendingResponse>(result));
-    conn.pending_keep_alive = request.KeepAlive();
+    conn.awaiting = true;
+    conn.awaiting_keep_alive = request.KeepAlive();
+  }
+}
+
+HttpServer::Connection* HttpServer::FindConnection(uint64_t id) {
+  auto it = std::lower_bound(
+      conns_.begin(), conns_.end(), id,
+      [](const std::unique_ptr<Connection>& conn, uint64_t key) {
+        return conn->id < key;
+      });
+  if (it == conns_.end() || (*it)->id != id || (*it)->fd < 0) return nullptr;
+  return it->get();
+}
+
+void HttpServer::DeliverCompletions() {
+  std::vector<CompletionQueue::Entry> ready;
+  {
+    std::lock_guard<std::mutex> lock(completions_->mu);
+    ready.swap(completions_->entries);
+  }
+  for (CompletionQueue::Entry& entry : ready) {
+    // The finish step runs whether or not anyone still waits for the
+    // response (it records latency and feeds labeled observations).
+    const HttpResponse response = entry.finish();
+    Connection* conn = FindConnection(entry.connection_id);
+    if (conn == nullptr || !conn->awaiting) {
+      std::lock_guard<std::mutex> lock(stats_mu_);
+      ++stats_.completions_dropped;
+      continue;
+    }
+    conn->awaiting = false;
+    EnqueueResponse(*conn, response, conn->awaiting_keep_alive);
   }
 }
 
 void HttpServer::ProcessBuffered(Connection& conn) {
   HttpParser parser(config_.max_header_bytes, config_.max_body_bytes);
-  while (!conn.pending && !conn.close_after_write && !conn.in.empty()) {
+  while (!conn.awaiting && !conn.close_after_write && !conn.in.empty()) {
     HttpRequest request;
     const HttpParser::ParseState state = parser.TryParse(&conn.in, &request);
     if (state == HttpParser::ParseState::kNeedMore) break;
@@ -217,7 +304,7 @@ Status HttpServer::Run(int drain_fd) {
     pollfds.clear();
     conn_slot.assign(conns_.size(), -1);
 
-    pollfds.push_back({wake_read_fd_, POLLIN, 0});
+    pollfds.push_back({completions_->wake_read_fd, POLLIN, 0});
     const int external_slot = drain_fd >= 0 ? static_cast<int>(pollfds.size())
                                             : -1;
     if (drain_fd >= 0) pollfds.push_back({drain_fd, POLLIN, 0});
@@ -227,25 +314,22 @@ Status HttpServer::Run(int drain_fd) {
             : -1;
     if (listener_slot >= 0) pollfds.push_back({listener_.fd(), POLLIN, 0});
 
-    bool any_pending = false;
     for (size_t i = 0; i < conns_.size(); ++i) {
       Connection& conn = *conns_[i];
       if (conn.fd < 0) continue;
       short events = 0;
-      if (!conn.pending && !conn.close_after_write && !conn.read_closed &&
+      if (!conn.awaiting && !conn.close_after_write && !conn.read_closed &&
           !draining_) {
         events |= POLLIN;
       }
       if (conn.out_off < conn.out.size()) events |= POLLOUT;
-      if (conn.pending) any_pending = true;
       conn_slot[i] = static_cast<int>(pollfds.size());
       pollfds.push_back({conn.fd, events, 0});
     }
 
-    // Pending responses resolve off-thread (runtime batch workers), so poll
-    // with a short timeout while any exist; otherwise wake often enough to
-    // enforce header timeouts and the drain deadline.
-    const int timeout_ms = any_pending ? 1 : (draining_ ? 10 : 50);
+    // Deferred responses arrive through the self-pipe, so the timeout only
+    // serves the header/idle clocks and the drain deadline.
+    const int timeout_ms = draining_ ? 10 : 50;
     const int ready = ::poll(pollfds.data(),
                              static_cast<nfds_t>(pollfds.size()), timeout_ms);
     if (ready < 0 && errno != EINTR && errno != EAGAIN) {
@@ -254,16 +338,18 @@ Status HttpServer::Run(int drain_fd) {
 
     const Clock::time_point now = Clock::now();
 
-    // Drain wakeups (internal pipe, external SignalHandler fd, or EINTR from
-    // a signal delivery that raced the pipe write).
-    if (pollfds[0].revents & POLLIN) {
-      DrainPipe(wake_read_fd_);
-      BeginDrain();
-    }
+    // Self-pipe wakeups: completions and RequestDrain(). The pipe is read
+    // BEFORE the queue is swapped out, so a completion racing this read
+    // either lands in the swap below or leaves the pipe readable again.
+    if (pollfds[0].revents & POLLIN) DrainPipe(completions_->wake_read_fd);
+    if (drain_requested_.load()) BeginDrain();
+    // External drain fd (SignalHandler), or EINTR from a signal delivery
+    // that raced its pipe write.
     if (external_slot >= 0 && (pollfds[external_slot].revents & POLLIN)) {
       DrainPipe(drain_fd);
       BeginDrain();
     }
+    DeliverCompletions();
 
     // Accept everything queued on the listener.
     if (!draining_ && listener_slot >= 0 &&
@@ -287,6 +373,7 @@ Status HttpServer::Run(int drain_fd) {
           continue;
         }
         auto conn = std::make_unique<Connection>();
+        conn->id = next_connection_id_++;
         conn->fd = *client;
         conn->last_activity = now;
         conns_.push_back(std::move(conn));
@@ -297,7 +384,7 @@ Status HttpServer::Run(int drain_fd) {
       }
     }
 
-    // Per-connection work: read, resolve pendings, parse, write, close.
+    // Per-connection work: read, parse, write, close.
     for (size_t i = 0; i < conns_.size(); ++i) {
       Connection& conn = *conns_[i];
       if (conn.fd < 0) continue;
@@ -319,21 +406,20 @@ Status HttpServer::Run(int drain_fd) {
       };
 
       if ((revents & (POLLIN | POLLHUP | POLLERR)) && !conn.read_closed &&
-          !conn.pending && !draining_) {
+          !conn.awaiting && !draining_) {
         if (!ReadAvailable(conn)) {
           abort_conn();
           continue;
         }
+      } else if (conn.awaiting && (revents & (POLLHUP | POLLERR))) {
+        // Reset or fully closed while its response is deferred: nobody can
+        // read the answer. Close now (a level-triggered POLLHUP would
+        // otherwise spin the loop); the completion is dropped on arrival.
+        abort_conn();
+        continue;
       }
 
-      if (conn.pending) {
-        HttpResponse response;
-        if (conn.pending->poll(&response)) {
-          conn.pending.reset();
-          EnqueueResponse(conn, response, conn.pending_keep_alive);
-        }
-      }
-      if (!conn.pending) ProcessBuffered(conn);
+      if (!conn.awaiting) ProcessBuffered(conn);
 
       if (conn.out_off < conn.out.size() && !FlushWrites(conn)) {
         abort_conn();
@@ -341,7 +427,7 @@ Status HttpServer::Run(int drain_fd) {
       }
 
       const bool response_done = conn.out_off >= conn.out.size();
-      if (response_done && !conn.pending) {
+      if (response_done && !conn.awaiting) {
         if (conn.close_after_write) {
           close_conn();
         } else if (conn.read_closed) {
@@ -401,6 +487,16 @@ Status HttpServer::Run(int drain_fd) {
         break;
       }
     }
+  }
+
+  // Nothing reads the queue from here on: completions still queued, and any
+  // that arrive later (e.g. while the runtime shuts down), are dropped.
+  std::vector<CompletionQueue::Entry> undelivered;
+  {
+    std::lock_guard<std::mutex> lock(completions_->mu);
+    completions_->closed = true;
+    completions_->dropped += completions_->entries.size();
+    undelivered.swap(completions_->entries);
   }
 
   drain_latency_ms_ = MsBetween(drain_begin_, Clock::now());

@@ -1,6 +1,7 @@
 #ifndef PRESTROID_NET_HTTP_SERVER_H_
 #define PRESTROID_NET_HTTP_SERVER_H_
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -9,7 +10,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "net/http.h"
@@ -56,34 +56,66 @@ struct HttpServerStats {
   uint64_t requests = 0;              // complete requests parsed
   uint64_t draining_rejects = 0;      // requests answered 503 during drain
   uint64_t forced_drain_closes = 0;   // connections cut at the drain deadline
+  uint64_t completion_wakeups = 0;    // self-pipe writes made by Responders
+  uint64_t completions_dropped = 0;   // deferred answers whose connection
+                                      // was gone (client hung up, or Run()
+                                      // had returned)
   std::map<int, uint64_t> responses_by_code;
   size_t connections_active = 0;      // gauge
 };
 
-/// A deferred response: the handler has dispatched work (e.g. a Submit into
-/// the serving runtime) and the event loop polls for completion. `poll` must
-/// be non-blocking and is called from the event-loop thread only; once it
-/// returns true (filling *out) it is never called again.
-struct PendingResponse {
-  std::function<bool(HttpResponse* out)> poll;
+struct CompletionQueue;
+
+/// The right to answer one request after its handler has returned — the
+/// /estimate handler hands it to the serving runtime's completion callback.
+/// Copyable and thread-safe; complete each request at most once.
+class Responder {
+ public:
+  /// Queues `finish` for the event loop and wakes it: the self-pipe is
+  /// written only when the queue goes from empty to non-empty, so completions
+  /// that land together (one served batch) cost one wakeup. The loop runs
+  /// `finish` on its own thread and writes the response it returns if the
+  /// request's connection is still open; otherwise the response is dropped.
+  /// After Run() has returned, `finish` is dropped unrun.
+  void Complete(std::function<HttpResponse()> finish) const;
+
+ private:
+  friend class HttpServer;
+  Responder(std::shared_ptr<CompletionQueue> queue, uint64_t connection_id)
+      : queue_(std::move(queue)), connection_id_(connection_id) {}
+
+  std::shared_ptr<CompletionQueue> queue_;
+  uint64_t connection_id_;
 };
 
-using HandlerResult = std::variant<HttpResponse, PendingResponse>;
-using HttpHandler = std::function<HandlerResult(const HttpRequest&)>;
+/// A handler's answer: the response to send now, or std::nullopt when the
+/// handler kept the Responder and completes the request later.
+using HandlerResult = std::optional<HttpResponse>;
+using HttpHandler = std::function<HandlerResult(const HttpRequest& request,
+                                                const Responder& responder)>;
 
 /// Poll-based single-threaded HTTP/1.1 server.
 ///
 /// One event-loop thread owns every connection: accept, read, parse,
 /// dispatch, and write all happen on the thread that calls Run(). Handlers
 /// therefore never need locks of their own; concurrency comes from deferred
-/// responses — a handler that returns PendingResponse (the /estimate path)
+/// responses — a handler that keeps its Responder (the /estimate path)
 /// yields the loop while the serving runtime's batch workers do the heavy
 /// lifting, so many connections progress while estimates are in flight and
 /// concurrent requests micro-batch naturally inside the runtime.
 ///
+/// Completions are event-driven: a Responder pushes onto a mutex-guarded
+/// completion queue and writes the self-pipe on the queue's empty ->
+/// non-empty edge; the loop swaps the queue out on each wakeup. No timer
+/// sits on the request path — poll(2) times out only for the idle, header
+/// and drain clocks (50 ms, 10 ms while draining). Connection ids are
+/// monotonic, so a completion can never reach a later connection that
+/// reused its fd.
+///
 /// Requests on one connection are answered strictly in order (HTTP/1.1
-/// pipelining); a pending response parks the connection's parser until it
-/// resolves.
+/// pipelining); a deferred response parks the connection's parser until it
+/// completes. A client that resets the connection while its response is
+/// deferred is closed at once; its completion is dropped when it arrives.
 ///
 /// Graceful drain (SIGTERM/SIGINT via a SignalHandler fd, or RequestDrain()
 /// from any thread): the listener closes, each connection's already-received
@@ -118,7 +150,8 @@ class HttpServer {
   /// graceful drain" (wire a SignalHandler's drain_fd here).
   Status Run(int drain_fd = -1);
 
-  /// Thread-safe: asks the loop to begin a graceful drain.
+  /// Thread-safe: asks the loop to begin a graceful drain (an atomic flag
+  /// plus a self-pipe write, so the pipe carries drains and completions).
   void RequestDrain();
 
   /// Thread-safe counter snapshot.
@@ -132,12 +165,13 @@ class HttpServer {
 
  private:
   struct Connection {
+    uint64_t id = 0;  // monotonic, never reused: completions address it
     int fd = -1;
     std::string in;        // received, not yet parsed
     std::string out;       // serialized responses awaiting write
     size_t out_off = 0;
-    std::optional<PendingResponse> pending;
-    bool pending_keep_alive = true;
+    bool awaiting = false;  // a Responder owes this connection a response
+    bool awaiting_keep_alive = true;
     bool close_after_write = false;
     bool read_closed = false;  // peer sent EOF
     std::chrono::steady_clock::time_point last_activity;
@@ -153,26 +187,34 @@ class HttpServer {
   /// Reads everything currently available on `conn`; returns false when the
   /// connection died and was not kept for flushing.
   bool ReadAvailable(Connection& conn);
-  /// Parses and dispatches requests from conn.in until a pending response,
+  /// Parses and dispatches requests from conn.in until a deferred response,
   /// an error, or exhaustion.
   void ProcessBuffered(Connection& conn);
   void Dispatch(Connection& conn, const HttpRequest& request);
+  /// Takes every queued completion, runs its finish step, and enqueues the
+  /// response on its connection — or drops it when the connection is gone.
+  void DeliverCompletions();
+  /// The open connection with `id`, or nullptr. conns_ stays sorted by id
+  /// (appended in accept order, swept order-preserving).
+  Connection* FindConnection(uint64_t id);
   void EnqueueResponse(Connection& conn, const HttpResponse& response,
                        bool keep_alive);
   /// Writes as much of conn.out as the socket accepts; returns false when
   /// the connection errored and must be closed.
   bool FlushWrites(Connection& conn);
-  void CloseConnection(size_t index, bool aborted);
   void CountResponse(int code);
 
   HttpServerConfig config_;
   TcpListener listener_;
   std::vector<Route_> routes_;
   std::vector<std::unique_ptr<Connection>> conns_;
+  uint64_t next_connection_id_ = 1;
 
-  // Self-pipe for thread-safe RequestDrain wakeups.
-  int wake_read_fd_ = -1;
-  int wake_write_fd_ = -1;
+  // Completions from Responders, plus the self-pipe that wakes the loop for
+  // them and for drains. Shared with every Responder, so a completion that
+  // outlives the server still has a valid queue (and pipe) to land in.
+  std::shared_ptr<CompletionQueue> completions_;
+  std::atomic<bool> drain_requested_{false};
 
   bool draining_ = false;
   std::chrono::steady_clock::time_point drain_deadline_;

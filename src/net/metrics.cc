@@ -114,6 +114,13 @@ std::string RenderPrometheus(const MetricsSources& sources) {
   Counter(&out, "prestroid_http_forced_drain_closes_total",
           "Connections force-closed at the drain deadline.",
           h.forced_drain_closes);
+  Counter(&out, "prestroid_http_completion_wakeups_total",
+          "Self-pipe writes for deferred responses (one per empty -> "
+          "non-empty edge of the completion queue).",
+          h.completion_wakeups);
+  Counter(&out, "prestroid_http_completions_dropped_total",
+          "Deferred responses dropped because their connection was gone.",
+          h.completions_dropped);
   Counter(&out, "prestroid_estimate_duplicate_labels_total",
           "Labeled observations suppressed by X-Idempotency-Key dedup.",
           sources.duplicate_labels);

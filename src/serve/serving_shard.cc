@@ -61,7 +61,7 @@ void ServingShard::Shutdown() {
     std::lock_guard<std::mutex> lock(queue_mu_);
     stop_ = true;
     if (!started_) {
-      // Never started: the calling thread drains, so accepted futures still
+      // Never started: the calling thread drains, so accepted requests still
       // resolve (the deterministic path the overflow tests rely on).
       while (!queue_.empty()) {
         leftover.push_back(std::move(queue_.front()));
@@ -84,15 +84,18 @@ void ServingShard::Shutdown() {
     for (size_t i = begin; i < end; ++i) {
       batch.push_back(std::move(leftover[i]));
     }
-    std::lock_guard<std::mutex> serve_lock(serve_mu_);
-    ServeBatch(batch);
+    {
+      std::lock_guard<std::mutex> serve_lock(serve_mu_);
+      ServeBatch(batch);
+    }
+    Resolve(batch);
   }
 }
 
-Result<std::future<cost::ServingEstimate>> ServingShard::SubmitRouted(
-    const plan::PlanNode& plan, double deadline_ms, uint64_t fingerprint,
-    plan::PlanStats stats, ShardTicket ticket) {
-  std::future<cost::ServingEstimate> future;
+Status ServingShard::SubmitRouted(const plan::PlanNode& plan,
+                                  double deadline_ms, uint64_t fingerprint,
+                                  plan::PlanStats stats, ShardTicket ticket,
+                                  EstimateCallback done) {
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
     if (stop_) {
@@ -113,12 +116,12 @@ Result<std::future<cost::ServingEstimate>> ServingShard::SubmitRouted(
     request.fingerprint = fingerprint;
     request.stats = std::move(stats);
     request.ticket = ticket;
-    future = request.promise.get_future();
+    request.done = std::move(done);
     queue_.push_back(std::move(request));
     queue_high_watermark_ = std::max(queue_high_watermark_, queue_.size());
   }
   queue_cv_.notify_one();
-  return future;
+  return Status::OK();
 }
 
 void ServingShard::InvalidateCache() {
@@ -238,8 +241,10 @@ void ServingShard::WorkerLoop() {
         if (stop_) return;  // drained and told to stop
         continue;
       }
-      // Batch window: give the batch a chance to fill before running a
-      // partial one. Skipped once stopping — drain as fast as possible.
+      // Optional batch window: give the batch a chance to fill before
+      // running a partial one. Off by default (work-conserving: the backlog
+      // itself forms the batch). Skipped once stopping — drain as fast as
+      // possible.
       if (!stop_ && config_.batch_window_us > 0 &&
           queue_.size() < config_.max_batch) {
         const auto until = std::chrono::steady_clock::now() +
@@ -255,8 +260,11 @@ void ServingShard::WorkerLoop() {
         queue_.pop_front();
       }
     }
-    std::lock_guard<std::mutex> serve_lock(serve_mu_);
-    ServeBatch(batch);
+    {
+      std::lock_guard<std::mutex> serve_lock(serve_mu_);
+      ServeBatch(batch);
+    }
+    Resolve(batch);
   }
 }
 
@@ -264,12 +272,13 @@ void ServingShard::ServeBatch(std::vector<PendingRequest>& batch) {
   // Precondition: serve_mu_ held by the caller (worker loop or Shutdown).
   core::PrestroidPipeline* pipeline = estimator_->pipeline();
 
-  auto resolve = [this, &batch](size_t i, cost::ServingEstimate estimate) {
+  // Each path below answers each request exactly once; Resolve() then hands
+  // the answers over together, so one batch's callbacks run back to back
+  // (an HTTP event loop waiting on them wakes once per batch, not once per
+  // answer).
+  auto answer = [this, &batch](size_t i, cost::ServingEstimate estimate) {
     latency_hist_.Record(estimate.latency_ms);
-    // Quota slot and memory charge free as the caller unblocks — every
-    // resolution path funnels through here, so the release is exactly-once.
-    batch[i].ticket.Release();
-    batch[i].promise.set_value(std::move(estimate));
+    batch[i].answer = std::move(estimate);
   };
 
   // Trivially-destructible staging arrays live in the per-batch scratch
@@ -294,8 +303,8 @@ void ServingShard::ServeBatch(std::vector<PendingRequest>& batch) {
 
     Status admit = estimator_->AdmitModelTier(request.stats, remaining_ms[i]);
     if (!admit.ok()) {
-      resolve(i, estimator_->EstimateFallback(request.stats, std::move(admit),
-                                              request.enqueue_time));
+      answer(i, estimator_->EstimateFallback(request.stats, std::move(admit),
+                                             request.enqueue_time));
       continue;
     }
     // The facade's fingerprint is the cache key (identical plans land on the
@@ -307,8 +316,8 @@ void ServingShard::ServeBatch(std::vector<PendingRequest>& batch) {
       Result<core::PlanFeatures> fresh = pipeline->FeaturizePlan(*request.plan);
       if (!fresh.ok()) {
         estimator_->NoteModelFailure();
-        resolve(i, estimator_->EstimateFallback(
-                       request.stats, fresh.status(), request.enqueue_time));
+        answer(i, estimator_->EstimateFallback(
+                      request.stats, fresh.status(), request.enqueue_time));
         continue;
       }
       features = std::make_shared<core::PlanFeatures>(std::move(*fresh));
@@ -335,15 +344,24 @@ void ServingShard::ServeBatch(std::vector<PendingRequest>& batch) {
     const size_t i = admitted_index[j];
     estimator_->UpdateModelLatency(per_item_ms, remaining_ms[i]);
     if (std::isfinite(predicted[j])) {
-      resolve(i, estimator_->FinishModelEstimate(
-                     predicted[j], ElapsedMs(batch[i].enqueue_time)));
+      answer(i, estimator_->FinishModelEstimate(
+                    predicted[j], ElapsedMs(batch[i].enqueue_time)));
     } else {
       estimator_->NoteModelFailure();
-      resolve(i, estimator_->EstimateFallback(
-                     batch[i].stats,
-                     Status::Internal("model returned a non-finite estimate"),
-                     batch[i].enqueue_time));
+      answer(i, estimator_->EstimateFallback(
+                    batch[i].stats,
+                    Status::Internal("model returned a non-finite estimate"),
+                    batch[i].enqueue_time));
     }
+  }
+}
+
+void ServingShard::Resolve(std::vector<PendingRequest>& batch) {
+  // The one place a request's quota slot and memory charge are released and
+  // its callback runs, so both happen exactly once.
+  for (PendingRequest& request : batch) {
+    request.ticket.Release();
+    request.done(std::move(request.answer));
   }
 }
 

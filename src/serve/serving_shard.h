@@ -5,7 +5,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <future>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -34,9 +34,13 @@ struct ServingRuntimeConfig {
   /// fingerprint-cached, fused path.
   size_t max_batch = 32;
   /// After the first request of a batch arrives, how long the worker waits
-  /// for the batch to fill before running a partial one. 0 = never wait
-  /// (drain whatever is queued).
-  size_t batch_window_us = 200;
+  /// for the batch to fill before running a partial one. 0 (the default) is
+  /// work-conserving: the worker serves whatever is queued, up to max_batch,
+  /// as soon as it wakes, so batches form from the backlog under load and a
+  /// lone request never waits for company. Forward cost is nearly linear in
+  /// batch size, so waiting for a fuller batch costs latency and saves
+  /// little compute.
+  size_t batch_window_us = 0;
   /// Plan-fingerprint cache entries; 0 disables the cache.
   size_t cache_entries = 1024;
   /// Resource governor the ShardedServingRuntime front door applies to every
@@ -58,11 +62,17 @@ struct ServingRuntimeConfig {
   std::shared_ptr<const core::QuantizationProfile> quant_profile;
 };
 
+/// Receives one request's answer. Runs exactly once, on the shard's batch
+/// worker (or on the thread calling Shutdown() of a never-started shard),
+/// after the batch was served and the serving lock released; the next batch
+/// waits for it, so it must return promptly.
+using EstimateCallback = std::function<void(cost::ServingEstimate)>;
+
 /// Admission charges riding along with one routed request: the tenant's
 /// in-flight/scratch-quota slot and the box-level memory-tracker charge.
-/// Released exactly once — when the request's promise resolves, or
-/// immediately if the shard rejects the submission. A default-constructed
-/// ticket releases nothing.
+/// Released exactly once — when the request resolves, or immediately if the
+/// shard rejects the submission. A default-constructed ticket releases
+/// nothing.
 struct ShardTicket {
   TenantQuotaTable* quotas = nullptr;
   TenantId tenant = 0;
@@ -86,12 +96,13 @@ struct ShardTicket {
 /// dedicated ServingEstimator. ShardedServingRuntime owns N of them and is
 /// the only producer: it governs, sizes, fingerprints and routes each plan.
 ///
-/// The facade submits plans into the queue and receives futures; the worker
-/// drains under the batch-window / max-batch policy, featurizes each
-/// distinct plan once (fingerprint LRU cache), runs ONE fused eval-mode
-/// forward pass per batch, and resolves the futures. Requests that cannot
-/// take the model tier degrade per item through the estimator's fallback
-/// chain, so a batch never fails wholesale.
+/// The facade submits plans, each with the callback that receives its
+/// answer; the worker takes whatever is queued (up to max_batch, after the
+/// optional batch window), featurizes each distinct plan once (fingerprint
+/// LRU cache), runs ONE fused eval-mode forward pass per batch, and then
+/// resolves the whole batch back to back. Requests that cannot take the
+/// model tier degrade per item through the estimator's fallback chain, so a
+/// batch never fails wholesale.
 ///
 /// The fused forward runs in eval mode (dropout off, batch-norm running
 /// statistics, masked per-tree pooling), so each row's prediction is
@@ -105,7 +116,7 @@ struct ShardTicket {
 /// directly by other threads while the shard is running.
 ///
 /// Lifetime: submitted plans are borrowed, not copied — the caller must keep
-/// a plan alive until its future resolves. The estimator (and the tracker, if
+/// a plan alive until its callback runs. The estimator (and the tracker, if
 /// any) must outlive the shard.
 class ServingShard {
  public:
@@ -126,8 +137,8 @@ class ServingShard {
   /// queue high-watermark, so each run reports its own peak.
   Status Start();
 
-  /// Stops accepting work, drains every queued request (resolving its
-  /// future), and joins the worker. If Start() was never called the drain
+  /// Stops accepting work, drains every queued request (running its
+  /// callback), and joins the worker. If Start() was never called the drain
   /// happens inline on the calling thread. Idempotent; Start() may be called
   /// again afterwards.
   void Shutdown();
@@ -137,14 +148,14 @@ class ServingShard {
   /// never walks the plan again) and `fingerprint` (used verbatim for the
   /// cache key, so identical plans routed to this shard share one
   /// featurization), and charged the admission `ticket`. Takes ownership of
-  /// the ticket unconditionally — it is released when the promise resolves,
+  /// the ticket unconditionally — it is released when the request resolves,
   /// or immediately on rejection. Returns kResourceExhausted when the queue
-  /// is full and kInvalidArgument after Shutdown(). deadline_ms <= 0 uses the
-  /// estimator's configured default; the deadline covers queue wait +
-  /// compute.
-  Result<std::future<cost::ServingEstimate>> SubmitRouted(
-      const plan::PlanNode& plan, double deadline_ms, uint64_t fingerprint,
-      plan::PlanStats stats, ShardTicket ticket);
+  /// is full and kInvalidArgument after Shutdown(); `done` runs only for an
+  /// accepted request. deadline_ms <= 0 uses the estimator's configured
+  /// default; the deadline covers queue wait + compute.
+  Status SubmitRouted(const plan::PlanNode& plan, double deadline_ms,
+                      uint64_t fingerprint, plan::PlanStats stats,
+                      ShardTicket ticket, EstimateCallback done);
 
   /// Retires every cached plan encoding (e.g. after catalog churn or a
   /// pipeline swap made old featurizations stale).
@@ -210,13 +221,18 @@ class ServingShard {
     uint64_t fingerprint;   // facade-computed cache key
     plan::PlanStats stats;  // facade-computed shape statistics
     ShardTicket ticket;
-    std::promise<cost::ServingEstimate> promise;
+    EstimateCallback done;
+    cost::ServingEstimate answer;  // filled while the batch is served
   };
 
   void WorkerLoop();
-  /// Serves one drained batch: per-item admission + cache lookup, one fused
-  /// forward pass for the admitted items, per-item fallback for the rest.
+  /// Serves one drained batch (serve_mu_ held): per-item admission + cache
+  /// lookup, one fused forward pass for the admitted items, per-item
+  /// fallback for the rest. Fills each request's answer.
   void ServeBatch(std::vector<PendingRequest>& batch);
+  /// Releases each served request's ticket and runs its callback, back to
+  /// back, after serve_mu_ is released.
+  static void Resolve(std::vector<PendingRequest>& batch);
 
   /// Applies config_.precision to the attached pipeline (serve_mu_ held):
   /// releases any prior resident-weight memory charge, freezes the weights

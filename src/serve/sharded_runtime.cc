@@ -1,5 +1,6 @@
 #include "serve/sharded_runtime.h"
 
+#include <memory>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -50,8 +51,9 @@ void ShardedServingRuntime::SetTenantQuota(TenantId tenant, TenantQuota quota) {
   quotas_.SetQuota(tenant, quota);
 }
 
-Result<std::future<cost::ServingEstimate>> ShardedServingRuntime::Submit(
-    const plan::PlanNode& plan, double deadline_ms, TenantId tenant) {
+Status ShardedServingRuntime::Submit(const plan::PlanNode& plan,
+                                     double deadline_ms, TenantId tenant,
+                                     EstimateCallback done) {
   // Stage 1 — resource governor, BEFORE any hashing or sizing of the plan:
   // a rejected plan is never fingerprinted (the ingestion-hardening
   // invariant). Early-exits at the limit, so its cost is bounded by the
@@ -85,7 +87,7 @@ Result<std::future<cost::ServingEstimate>> ShardedServingRuntime::Submit(
   // Stage 4 — fingerprint routing. Identical plans hash identically, land on
   // the same shard, and share one cached featurization. The shard uses the
   // fingerprint as its cache key (no re-hash) and owns the ticket from here:
-  // released when the promise resolves, or immediately on queue rejection.
+  // released when the request resolves, or immediately on queue rejection.
   const uint64_t fingerprint = FingerprintPlan(plan);
   ShardTicket ticket;
   ticket.quotas = &quotas_;
@@ -93,7 +95,20 @@ Result<std::future<cost::ServingEstimate>> ShardedServingRuntime::Submit(
   ticket.memory = &memory_;
   ticket.charged_bytes = scratch_bytes;
   return shards_[RouteShard(fingerprint, shards_.size())]->SubmitRouted(
-      plan, deadline_ms, fingerprint, std::move(stats), ticket);
+      plan, deadline_ms, fingerprint, std::move(stats), ticket,
+      std::move(done));
+}
+
+Result<std::future<cost::ServingEstimate>> ShardedServingRuntime::Submit(
+    const plan::PlanNode& plan, double deadline_ms, TenantId tenant) {
+  auto promise = std::make_shared<std::promise<cost::ServingEstimate>>();
+  std::future<cost::ServingEstimate> future = promise->get_future();
+  PRESTROID_RETURN_NOT_OK(
+      Submit(plan, deadline_ms, tenant,
+             [promise](cost::ServingEstimate estimate) {
+               promise->set_value(std::move(estimate));
+             }));
+  return future;
 }
 
 void ShardedServingRuntime::InvalidateCache() {

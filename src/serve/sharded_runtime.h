@@ -54,6 +54,11 @@ struct ShardedRuntimeConfig {
 /// resolves (or immediately if its queue rejects), so admission state can
 /// never leak.
 ///
+/// Completion is callback-driven: every request resolves by running the
+/// EstimateCallback it was submitted with (the HTTP service's callback hands
+/// the answer straight to the event loop). The future-returning Submit is a
+/// thin adapter over it for in-process callers.
+///
 /// SwapPipelines locks every shard in shard order (the only multi-shard lock
 /// site), performs one fault-injection check, and exchanges all pipelines
 /// before any shard resumes — no request anywhere observes a half-swapped
@@ -61,7 +66,7 @@ struct ShardedRuntimeConfig {
 ///
 /// Lifetime: the estimators (one per shard — each owns its model-tier
 /// pipeline and fallback tiers) must outlive the runtime. Submitted plans
-/// are borrowed until their future resolves.
+/// are borrowed until their request resolves.
 class ShardedServingRuntime {
  public:
   /// `estimators.size()` must equal `config.shards` (checked). Each shard
@@ -88,7 +93,15 @@ class ShardedServingRuntime {
   /// fingerprint -> shard queue. Returns kInvalidArgument for a governor
   /// reject (limit_rejects), kResourceExhausted for a quota shed (per-tenant
   /// quota_sheds), a memory-budget denial (memory_denied), or a full shard
-  /// queue (rejected_requests), and kInvalidArgument after Shutdown().
+  /// queue (rejected_requests), and kInvalidArgument after Shutdown(). On
+  /// success `done` later runs exactly once with the answer (see
+  /// EstimateCallback for its thread and constraints); on error it never
+  /// runs.
+  Status Submit(const plan::PlanNode& plan, double deadline_ms,
+                TenantId tenant, EstimateCallback done);
+
+  /// The same admission, for in-process callers (the CLI replay, the
+  /// benches, tests): the returned future receives the answer.
   Result<std::future<cost::ServingEstimate>> Submit(const plan::PlanNode& plan,
                                                     double deadline_ms = 0.0,
                                                     TenantId tenant = 0);

@@ -70,11 +70,12 @@ class MiniServer {
     config.host = "127.0.0.1";
     config.port = 0;
     server_ = std::make_unique<HttpServer>(config);
-    server_->Route("GET", "/ping", [](const HttpRequest&) -> HandlerResult {
-      HttpResponse response;
-      response.body = "pong";
-      return response;
-    });
+    server_->Route("GET", "/ping",
+                   [](const HttpRequest&, const Responder&) -> HandlerResult {
+                     HttpResponse response;
+                     response.body = "pong";
+                     return response;
+                   });
     if (configure) configure(server_.get());
     EXPECT_TRUE(server_->Start().ok());
     loop_ = std::thread([this]() { run_status_ = server_->Run(); });
@@ -384,7 +385,8 @@ struct ScriptedEstimate {
 
   void Register(HttpServer* server) {
     server->Route("POST", "/estimate",
-                  [this](const HttpRequest& request) -> HandlerResult {
+                  [this](const HttpRequest& request,
+                         const Responder&) -> HandlerResult {
                     std::lock_guard<std::mutex> lock(mu);
                     if (const std::string* header =
                             request.FindHeader("x-deadline-ms")) {

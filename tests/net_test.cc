@@ -18,6 +18,7 @@
 ///   - graceful drain: all parsed in-flight requests answered before exit,
 ///     zero forced closes, SIGTERM via the real signal path.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <csignal>
 #include <cstdint>
@@ -295,7 +296,7 @@ struct TestServerOptions {
   size_t max_body_bytes = 1 << 20;
   size_t header_timeout_ms = 10000;
   size_t drain_timeout_ms = 5000;
-  size_t batch_window_us = 200;
+  size_t batch_window_us = serve::ServingRuntimeConfig{}.batch_window_us;
   size_t max_batch = 32;
   int drain_fd = -1;
   /// Artifact to load into each estimator's model tier (empty = no model,
@@ -816,6 +817,143 @@ TEST_F(NetTest, RequestsDuringDrainGet503) {
   EXPECT_TRUE(raced->code == 200 || raced->code == 503) << raced->code;
   ts.AwaitExit();
   EXPECT_TRUE(ts.run_status().ok());
+}
+
+// ----------------------------------------------------------------------
+// Completion delivery: runtime callbacks -> the event loop
+// ----------------------------------------------------------------------
+
+/// Closes `client` with a TCP reset (SO_LINGER 0), the abrupt hang-up of a
+/// client whose per-attempt timeout fired.
+void ResetConnection(HttpClient& client) {
+  struct linger reset = {1, 0};
+  ::setsockopt(client.fd(), SOL_SOCKET, SO_LINGER, &reset, sizeof(reset));
+  client.Close();
+}
+
+TEST_F(NetTest, HungUpEstimateReleasesItsPlanWhileServing) {
+  TestServerOptions options;
+  // The batch window parks the estimate, so its client hangs up first.
+  options.batch_window_us = 300000;
+  options.max_batch = 64;
+  TestServer ts(*records_, options);
+  HttpClient client = ts.Client();
+  ASSERT_TRUE(
+      client.SendRaw(BuildRequest("POST", "/estimate", {}, *plan_text_)).ok());
+  ASSERT_TRUE(ts.WaitFor([&]() { return ts.service().InflightCount() == 1; }));
+  ResetConnection(client);
+  // The server notices the hang-up while the estimate is still parked.
+  EXPECT_TRUE(ts.WaitFor(
+      [&]() { return ts.server().StatsSnapshot().connections_active == 0; },
+      200));
+  ASSERT_TRUE(ts.WaitFor(
+      [&]() { return ts.runtime().LatencySnapshot().count() >= 1; }));
+  // The runtime answered a request nobody waits for: its plan goes with it,
+  // while the server keeps running.
+  EXPECT_TRUE(ts.WaitFor([&]() { return ts.service().InflightCount() == 0; },
+                         2000));
+  EXPECT_EQ(ts.server().StatsSnapshot().completions_dropped, 1u);
+}
+
+TEST_F(NetTest, SequentialKeepAliveEstimatesNeverWaitForATimer) {
+  TestServer ts(*records_);
+  HttpClient client = ts.Client();
+  // A completion whose wakeup got lost would sit until the loop's 50 ms idle
+  // timeout, so 50 of them would take over 2.5 s.
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 50; ++i) {
+    auto response = client.Post("/estimate", *plan_text_);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    ASSERT_EQ(response->code, 200);
+  }
+  const double elapsed_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+  EXPECT_LT(elapsed_ms, 1000.0);
+  const HttpServerStats stats = ts.server().StatsSnapshot();
+  EXPECT_EQ(stats.connections_accepted, 1u);
+  // One request in flight at a time: one batch, one wakeup per estimate.
+  EXPECT_EQ(stats.completion_wakeups, 50u);
+}
+
+TEST_F(NetTest, OneBatchOfCompletionsCostsOneWakeup) {
+  TestServerOptions options;
+  // The window holds the batch until all kClients requests are queued; they
+  // then resolve together.
+  constexpr int kClients = 8;
+  options.batch_window_us = 10000000;
+  options.max_batch = kClients;
+  TestServer ts(*records_, options);
+  std::vector<std::thread> clients;
+  std::atomic<int> ok_count{0};
+  for (int i = 0; i < kClients; ++i) {
+    clients.emplace_back([&]() {
+      HttpClient client("127.0.0.1", ts.port());
+      auto response = client.Post("/estimate", *plan_text_);
+      if (response.ok() && response->code == 200) ++ok_count;
+    });
+  }
+  for (std::thread& thread : clients) thread.join();
+  EXPECT_EQ(ok_count.load(), kClients);
+  // The first completion writes the self-pipe; the rest land while the queue
+  // is non-empty. Far fewer writes than answers even if the loop wakes
+  // between two of them.
+  EXPECT_GE(ts.server().StatsSnapshot().completion_wakeups, 1u);
+  EXPECT_LT(ts.server().StatsSnapshot().completion_wakeups,
+            static_cast<uint64_t>(kClients) / 2);
+}
+
+TEST_F(NetTest, HangUpStormDropsCompletionsWithoutCrossTalk) {
+  TestServerOptions options;
+  options.shards = 2;
+  TestServer ts(*records_, options);
+  constexpr int kThreads = 4;
+  constexpr int kHangUpsEach = 25;
+  std::atomic<bool> storming{true};
+  // A bystander on its own keep-alive connection: any completion routed to
+  // the wrong connection would show up here as an estimate body.
+  std::atomic<int> bystander_ok{0};
+  std::atomic<int> bystander_bad{0};
+  std::thread bystander([&]() {
+    HttpClient client("127.0.0.1", ts.port());
+    while (storming.load()) {
+      auto response = client.Get("/healthz");
+      if (response.ok() && response->code == 200 &&
+          response->body.find("\"status\": \"ok\"") != std::string::npos) {
+        ++bystander_ok;
+      } else {
+        ++bystander_bad;
+      }
+    }
+  });
+  std::vector<std::thread> stormers;
+  const std::string wire = BuildRequest("POST", "/estimate", {}, *plan_text_);
+  for (int t = 0; t < kThreads; ++t) {
+    stormers.emplace_back([&, t]() {
+      for (int i = 0; i < kHangUpsEach; ++i) {
+        HttpClient client("127.0.0.1", ts.port());
+        if (!client.SendRaw(wire).ok()) continue;
+        if ((t + i) % 2 == 0) {
+          ResetConnection(client);
+        } else {
+          client.Close();
+        }
+      }
+    });
+  }
+  for (std::thread& thread : stormers) thread.join();
+  // Every hung-up estimate resolves and its completion is released.
+  EXPECT_TRUE(
+      ts.WaitFor([&]() { return ts.service().InflightCount() == 0; }));
+  storming = false;
+  bystander.join();
+  EXPECT_GT(bystander_ok.load(), 0);
+  EXPECT_EQ(bystander_bad.load(), 0);
+  // The server is still healthy and answers on a fresh connection.
+  HttpClient after = ts.Client();
+  auto response = after.Post("/estimate", *plan_text_);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->code, 200);
 }
 
 // ----------------------------------------------------------------------
