@@ -291,7 +291,6 @@ struct KernelBenchRecord {
   std::string op;      // "gemm" | "tree_conv_fwd_bwd" | "serving_gemm"
   std::string shape;   // "MxKxN" / "BATCHxNODESxDIM"
   std::string kernel;  // "scalar" | "blocked" | "resident"
-  std::string precision = "fp32";  // "fp32" | "bf16" | "int8"
   size_t threads = 1;
   double ns_per_iter = 0.0;
   double gflops = 0.0;
@@ -318,19 +317,21 @@ double MedianNs(const Fn& fn) {
   return ns[ns.size() / 2];
 }
 
-/// Geomean of scalar/blocked time ratios over all records of `op`.
+/// Geomean of base/fast time ratios over the records of `op` that share a
+/// shape and thread count.
 double GeomeanSpeedup(const std::vector<KernelBenchRecord>& records,
-                      const std::string& op) {
+                      const std::string& op, const std::string& base_kernel,
+                      const std::string& fast_kernel) {
   double log_sum = 0.0;
   size_t count = 0;
-  for (const KernelBenchRecord& blocked : records) {
-    if (blocked.op != op || blocked.kernel != "blocked") continue;
-    for (const KernelBenchRecord& scalar : records) {
-      if (scalar.op != op || scalar.kernel != "scalar" ||
-          scalar.shape != blocked.shape || scalar.threads != blocked.threads) {
+  for (const KernelBenchRecord& fast : records) {
+    if (fast.op != op || fast.kernel != fast_kernel) continue;
+    for (const KernelBenchRecord& base : records) {
+      if (base.op != op || base.kernel != base_kernel ||
+          base.shape != fast.shape || base.threads != fast.threads) {
         continue;
       }
-      log_sum += std::log(scalar.ns_per_iter / blocked.ns_per_iter);
+      log_sum += std::log(base.ns_per_iter / fast.ns_per_iter);
       ++count;
     }
   }
@@ -422,20 +423,15 @@ int RunJsonBench(const std::string& path) {
   }
 
   // Serving-shaped GEMMs (m <= 32 plus one batch-1152 im2col row block):
-  // the per-call-packing blocked path vs the resident pre-packed tier at
-  // fp32/bf16/int8 (tensor/kernels/resident_weights.h). The int8 records
-  // back the BENCH acceptance line: speedup over blocked fp32 at m <= 32
-  // and the resident weight-memory reduction.
+  // the per-call-packing blocked path vs the resident pre-packed panels
+  // serving freezes at attach (tensor/kernels/resident_weights.h). Same
+  // kernel and bits; the difference is the per-call B pack.
   const size_t serving_shapes[][3] = {
       {1, 1152, 128},    // single request through the dense head (3C -> C)
       {8, 1152, 128},    // small fused batch
       {32, 1152, 128},   // max_batch=32 fused forward
       {32, 128, 64},     // dense head tail (C -> units)
   };
-  double int8_log_speedup = 0.0;
-  size_t int8_speedup_count = 0;
-  double weight_fp32_bytes = 0.0;
-  double weight_int8_bytes = 0.0;
   for (const auto& s : serving_shapes) {
     const size_t m = s[0], k = s[1], n = s[2];
     Rng rng(3);
@@ -457,46 +453,31 @@ int RunJsonBench(const std::string& path) {
         MedianNs([&] { MatMulBiasInto(&out, a, b, bias, &ctx); });
     blocked.gflops = flops / blocked.ns_per_iter;
     const double blocked_ns = blocked.ns_per_iter;
-    std::cout << "serving_gemm " << shape << " blocked/fp32: "
+    std::cout << "serving_gemm " << shape << " blocked: "
               << StrFormat("%.2f", blocked.gflops) << " GFLOP/s\n";
     records.push_back(std::move(blocked));
 
-    const Precision precisions[] = {Precision::kFp32, Precision::kBf16,
-                                    Precision::kInt8};
-    for (Precision precision : precisions) {
-      const ResidentWeights resident = ResidentWeights::Build(b, precision);
-      KernelBenchRecord rec;
-      rec.op = "serving_gemm";
-      rec.shape = shape;
-      rec.kernel = "resident";
-      rec.precision = KernelRegistry::PrecisionName(precision);
-      rec.threads = threads;
-      rec.ns_per_iter = MedianNs(
-          [&] { resident.Gemm(&out, a, &bias, GemmEpilogue::kBias, &ctx); });
-      rec.gflops = flops / rec.ns_per_iter;
-      std::cout << "serving_gemm " << shape << " resident/" << rec.precision
-                << ": " << StrFormat("%.2f", rec.gflops) << " GFLOP/s ("
-                << StrFormat("%.2fx", blocked_ns / rec.ns_per_iter)
-                << " vs blocked)\n";
-      if (precision == Precision::kInt8) {
-        int8_log_speedup += std::log(blocked_ns / rec.ns_per_iter);
-        ++int8_speedup_count;
-        weight_fp32_bytes += static_cast<double>(resident.fp32_bytes());
-        weight_int8_bytes += static_cast<double>(resident.resident_bytes());
-      }
-      records.push_back(std::move(rec));
-    }
+    const ResidentWeights resident = ResidentWeights::Build(b);
+    KernelBenchRecord rec;
+    rec.op = "serving_gemm";
+    rec.shape = shape;
+    rec.kernel = "resident";
+    rec.threads = threads;
+    rec.ns_per_iter = MedianNs(
+        [&] { resident.Gemm(&out, a, &bias, GemmEpilogue::kBias, &ctx); });
+    rec.gflops = flops / rec.ns_per_iter;
+    std::cout << "serving_gemm " << shape << " resident: "
+              << StrFormat("%.2f", rec.gflops) << " GFLOP/s ("
+              << StrFormat("%.2fx", blocked_ns / rec.ns_per_iter)
+              << " vs blocked)\n";
+    records.push_back(std::move(rec));
   }
-  const double int8_speedup =
-      int8_speedup_count == 0
-          ? 0.0
-          : std::exp(int8_log_speedup /
-                     static_cast<double>(int8_speedup_count));
-  const double int8_memory_reduction =
-      weight_int8_bytes == 0.0 ? 0.0 : weight_fp32_bytes / weight_int8_bytes;
-
-  const double gemm_speedup = GeomeanSpeedup(records, "gemm");
-  const double conv_speedup = GeomeanSpeedup(records, "tree_conv_fwd_bwd");
+  const double gemm_speedup =
+      GeomeanSpeedup(records, "gemm", "scalar", "blocked");
+  const double conv_speedup =
+      GeomeanSpeedup(records, "tree_conv_fwd_bwd", "scalar", "blocked");
+  const double resident_speedup =
+      GeomeanSpeedup(records, "serving_gemm", "blocked", "resident");
 
   std::ofstream out(path);
   if (!out) {
@@ -517,7 +498,6 @@ int RunJsonBench(const std::string& path) {
       json.Field("op", r.op);
       json.Field("shape", r.shape);
       json.Field("kernel", r.kernel);
-      json.Field("precision", r.precision);
       json.Field("threads", r.threads);
       json.FieldDouble("gflops", r.gflops);
       json.FieldDouble("ns_per_iter", r.ns_per_iter, "%.1f");
@@ -529,10 +509,8 @@ int RunJsonBench(const std::string& path) {
     json.FieldDouble("gemm_geomean_speedup_blocked_over_scalar", gemm_speedup);
     json.FieldDouble("tree_conv_geomean_speedup_blocked_over_scalar",
                      conv_speedup);
-    json.FieldDouble("serving_int8_geomean_speedup_over_blocked_fp32",
-                     int8_speedup);
-    json.FieldDouble("serving_int8_weight_memory_reduction",
-                     int8_memory_reduction);
+    json.FieldDouble("serving_resident_geomean_speedup_over_blocked",
+                     resident_speedup);
     json.EndObject();
     json.EndObject();
   }
@@ -541,10 +519,8 @@ int RunJsonBench(const std::string& path) {
             << StrFormat("%.2fx", gemm_speedup) << "\n";
   std::cout << "tree-conv fwd+bwd geomean speedup (blocked/scalar): "
             << StrFormat("%.2fx", conv_speedup) << "\n";
-  std::cout << "serving int8 geomean speedup (resident-int8/blocked-fp32): "
-            << StrFormat("%.2fx", int8_speedup) << "\n";
-  std::cout << "serving int8 weight-memory reduction: "
-            << StrFormat("%.2fx", int8_memory_reduction) << "\n";
+  std::cout << "serving geomean speedup (resident/blocked): "
+            << StrFormat("%.2fx", resident_speedup) << "\n";
   std::cout << "wrote " << path << "\n";
   return 0;
 }

@@ -5,7 +5,7 @@
 // runtime with multiple producer threads cycling a fixed pool of distinct
 // plans (a recurring workload, so the plan-fingerprint cache converges to a
 // high hit rate). One one-shard scenario per max-batch in {1, 8, 32, 128},
-// then a precision axis, a shard-scaling curve and a tenant-isolation probe,
+// then a shard-scaling curve and a tenant-isolation probe,
 // all through the same producer loop; each reports QPS, end-to-end latency
 // percentiles, cache hit rate, and per-tier counts, and every model-tier
 // answer is checked against the single-query PredictPlan reference
@@ -34,9 +34,7 @@
 
 #include "bench_common.h"
 #include "bench_json.h"
-#include "core/quant_profile.h"
 #include "cost/serving_estimator.h"
-#include "tensor/kernels/kernel_registry.h"
 #include "serve/sharded_runtime.h"
 #include "serve/tenant_quota.h"
 #include "util/histogram.h"
@@ -53,18 +51,13 @@ constexpr size_t kWindow = 64;
 /// Effectively-infinite deadline: the bench measures throughput, not
 /// deadline-induced degradation, so queue wait must not trigger skips.
 constexpr double kDeadlineMs = 1e9;
+/// Parity gate against the single-query reference (DESIGN.md §5.2).
+constexpr double kParityTolMinutes = 1e-5;
 
 /// One closed-loop run against a fresh ShardedServingRuntime.
 struct Scenario {
   size_t shards = 1;
   size_t max_batch = 32;
-  /// Model-tier precision; the default runs the exact fp32 path.
-  Precision precision = Precision::kFp32;
-  std::shared_ptr<const core::QuantizationProfile> profile;
-  /// Parity gate against the fp32 single-query reference — strict for fp32,
-  /// relaxed (the §5.8 envelope) for low-precision scenarios.
-  double tol_abs = 1e-5;
-  double tol_rel = 0.0;
   /// Tenant of each global request index.
   std::function<serve::TenantId(size_t)> tenant_of = [](size_t) {
     return serve::TenantId{0};
@@ -85,9 +78,6 @@ struct ProducerOutcome {
 struct ScenarioResult {
   size_t shards = 0;
   size_t max_batch = 0;
-  Precision precision = Precision::kFp32;         // requested
-  Precision active_precision = Precision::kFp32;  // after any fallback
-  size_t resident_weight_bytes = 0;               // per-shard model footprint
   size_t requests = 0;
   double elapsed_s = 0.0;
   double qps = 0.0;
@@ -123,7 +113,7 @@ ProducerOutcome RunProducer(serve::ShardedServingRuntime& runtime,
       const double want = reference[plan_index];
       const double err = std::abs(estimate.cpu_minutes - want);
       outcome.max_abs_err = std::max(outcome.max_abs_err, err);
-      if (err > scenario.tol_abs + scenario.tol_rel * std::abs(want)) {
+      if (err > kParityTolMinutes) {
         ++outcome.parity_violations;
       }
     }
@@ -182,8 +172,6 @@ ScenarioResult RunScenario(const std::vector<workload::QueryRecord>& records,
   config.shard.queue_depth = std::max<size_t>(256, 4 * scenario.max_batch);
   config.shard.batch_window_us = 100;
   config.shard.cache_entries = 2 * plans.size();
-  config.shard.precision = scenario.precision;
-  config.shard.quant_profile = scenario.profile;
   serve::ShardedServingRuntime runtime(raw, config);
   for (const auto& [tenant, quota] : scenario.quotas) {
     runtime.SetTenantQuota(tenant, quota);
@@ -209,9 +197,6 @@ ScenarioResult RunScenario(const std::vector<workload::QueryRecord>& records,
   ScenarioResult result;
   result.shards = scenario.shards;
   result.max_batch = scenario.max_batch;
-  result.precision = scenario.precision;
-  result.active_precision = runtime.shard(0).active_precision();
-  result.resident_weight_bytes = runtime.shard(0).resident_weight_bytes();
   result.requests = total_requests;
   result.elapsed_s = elapsed_s;
   result.qps = static_cast<double>(total_requests) / elapsed_s;
@@ -314,53 +299,6 @@ int Run(const std::string& out_path, size_t max_shards) {
   std::cout << StrFormat("qps speedup (max-batch 32 over 1): %.2fx\n",
                          speedup_32_over_1);
 
-  // Phase A2: precision axis. fp32 vs int8 through the same closed loop at
-  // max-batch {1, 8, 32} — the serving shapes the quantized kernel tier
-  // targets. int8 uses a profile calibrated over the same plan pool the
-  // producers cycle, and its parity gate is the §5.8 relaxed envelope
-  // (10% + 10% of reference) instead of the fp32 1e-5.
-  auto quant_profile = std::make_shared<core::QuantizationProfile>();
-  {
-    std::vector<core::PlanFeatures> features;
-    features.reserve(plans.size());
-    for (const plan::PlanNode* p : plans) {
-      auto featurized = (*pipeline)->FeaturizePlan(*p);
-      if (featurized.ok()) features.push_back(std::move(*featurized));
-    }
-    std::vector<const core::PlanFeatures*> sample;
-    sample.reserve(features.size());
-    for (const auto& f : features) sample.push_back(&f);
-    auto calibrated = (*pipeline)->CalibrateQuantization(sample, 99.0);
-    PRESTROID_CHECK(calibrated.ok());
-    *quant_profile = std::move(*calibrated);
-  }
-  std::vector<ScenarioResult> precision_results;
-  for (size_t max_batch : {size_t{1}, size_t{8}, size_t{32}}) {
-    for (Precision precision : {Precision::kFp32, Precision::kInt8}) {
-      const bool int8 = precision == Precision::kInt8;
-      Scenario scenario;
-      scenario.max_batch = max_batch;
-      scenario.precision = precision;
-      if (int8) {
-        scenario.profile = quant_profile;
-        scenario.tol_abs = 0.1;
-        scenario.tol_rel = 0.1;
-      }
-      precision_results.push_back(RunScenario(data.records, artifact_path,
-                                              plans, reference, scenario,
-                                              total_requests));
-      const ScenarioResult& r = precision_results.back();
-      std::cout << StrFormat(
-          "precision %s max-batch %zu: %.0f qps, p95=%.3fms, "
-          "resident-weights=%zuB, quantized-batches=%zu fallbacks=%zu "
-          "parity-violations=%zu\n",
-          KernelRegistry::PrecisionName(r.active_precision), r.max_batch,
-          r.qps, r.p95_ms, r.resident_weight_bytes,
-          r.stats.quantized_batches, r.stats.precision_fallbacks,
-          r.parity_violations);
-    }
-  }
-
   // Phase B: shard-scaling curve. Same closed loop and plan pool against the
   // fingerprint-routed tier at 1/2/4/8 shards (clipped by --shards). On a
   // multi-core runner QPS should rise monotonically 1 -> 4; on a single
@@ -461,27 +399,6 @@ int Run(const std::string& out_path, size_t max_shards) {
   }
   json.EndArray();
 
-  json.Key("precision_axis");
-  json.BeginArray();
-  for (const ScenarioResult& r : precision_results) {
-    json.BeginObject();
-    json.Field("precision", KernelRegistry::PrecisionName(r.precision));
-    json.Field("active_precision",
-               KernelRegistry::PrecisionName(r.active_precision));
-    json.Field("max_batch", r.max_batch);
-    json.FieldDouble("qps", r.qps, "%.1f");
-    json.FieldDouble("p50_ms", r.p50_ms);
-    json.FieldDouble("p95_ms", r.p95_ms);
-    json.FieldDouble("p99_ms", r.p99_ms);
-    json.Field("resident_weight_bytes", r.resident_weight_bytes);
-    json.Field("quantized_batches", r.stats.quantized_batches);
-    json.Field("precision_fallbacks", r.stats.precision_fallbacks);
-    json.Field("parity_violations", r.parity_violations);
-    json.FieldDouble("max_abs_err_minutes", r.max_abs_err, "%.8f");
-    json.EndObject();
-  }
-  json.EndArray();
-
   json.Key("shard_scaling");
   json.BeginArray();
   for (const ScenarioResult& r : scaling) {
@@ -524,44 +441,12 @@ int Run(const std::string& out_path, size_t max_shards) {
     json.FieldDouble("qps_speedup_max_shards_over_1",
                      scaling.back().qps / scaling.front().qps);
   }
-  {
-    size_t fp32_resident = 0, int8_resident = 0;
-    for (const ScenarioResult& r : precision_results) {
-      if (r.active_precision == Precision::kFp32 && fp32_resident == 0) {
-        fp32_resident = r.resident_weight_bytes;
-      }
-      if (r.active_precision == Precision::kInt8 && int8_resident == 0) {
-        int8_resident = r.resident_weight_bytes;
-      }
-    }
-    if (int8_resident > 0) {
-      json.FieldDouble("int8_weight_memory_reduction",
-                       static_cast<double>(fp32_resident) /
-                           static_cast<double>(int8_resident));
-    }
-    for (size_t max_batch : {size_t{1}, size_t{8}, size_t{32}}) {
-      double fp32_p95 = 0.0, int8_p95 = 0.0;
-      for (const ScenarioResult& r : precision_results) {
-        if (r.max_batch != max_batch) continue;
-        if (r.precision == Precision::kFp32) fp32_p95 = r.p95_ms;
-        if (r.precision == Precision::kInt8) int8_p95 = r.p95_ms;
-      }
-      if (int8_p95 > 0.0) {
-        json.FieldDouble(
-            StrFormat("int8_p95_speedup_batch%zu", max_batch),
-            fp32_p95 / int8_p95);
-      }
-    }
-  }
   json.EndObject();
   json.EndObject();
   std::cout << "wrote " << out_path << "\n";
 
   size_t total_violations = 0;
   for (const ScenarioResult& r : results) total_violations += r.parity_violations;
-  for (const ScenarioResult& r : precision_results) {
-    total_violations += r.parity_violations;
-  }
   for (const ScenarioResult& r : scaling) {
     total_violations += r.parity_violations;
   }

@@ -43,7 +43,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -52,7 +51,6 @@
 
 #include "core/continual_trainer.h"
 #include "core/pipeline.h"
-#include "core/quant_profile.h"
 #include "cost/serving_estimator.h"
 #include "net/estimate_service.h"
 #include "net/http_server.h"
@@ -272,45 +270,6 @@ int Train(const Flags& flags) {
   if (!saved.ok()) return Fail(saved);
   std::cout << "saved pipeline to " << out << "\n";
 
-  // --calibrate N (default 64, 0=skip): one-pass int8 activation-range
-  // calibration over the first N usable training plans, written as the
-  // model's sibling quantization profile so `serve --precision int8` picks
-  // up calibrated scales. Calibration failure never fails the train run —
-  // int8 serving falls back to dynamic scales without a profile.
-  const size_t calibrate =
-      static_cast<size_t>(std::max(0L, flags.GetInt("calibrate", 64)));
-  if (calibrate > 0) {
-    std::vector<core::PlanFeatures> features;
-    features.reserve(calibrate);
-    for (size_t i = 0; i < records.size() && features.size() < calibrate;
-         ++i) {
-      auto featurized = (*pipeline)->FeaturizePlan(*records[i].plan);
-      if (featurized.ok()) features.push_back(std::move(*featurized));
-    }
-    std::vector<const core::PlanFeatures*> sample;
-    sample.reserve(features.size());
-    for (const core::PlanFeatures& f : features) sample.push_back(&f);
-    auto profile = (*pipeline)->CalibrateQuantization(
-        sample, flags.GetDouble("clip-pct", 99.0));
-    if (!profile.ok()) {
-      std::cerr << "warning: calibration failed ("
-                << profile.status().ToString()
-                << "); int8 serving will use dynamic scales\n";
-    } else {
-      const std::string qprof_path = core::QuantProfilePathFor(out);
-      Status qprof_saved = core::SaveQuantizationProfile(qprof_path, *profile);
-      if (!qprof_saved.ok()) {
-        std::cerr << "warning: could not write " << qprof_path << " ("
-                  << qprof_saved.ToString() << ")\n";
-      } else {
-        std::cout << StrFormat(
-            "calibrated int8 profile over %zu plans (clip p%.1f, %zu "
-            "layers) -> %s\n",
-            profile->samples, profile->clip_percentile,
-            profile->layers.size(), qprof_path.c_str());
-      }
-    }
-  }
   std::cout << StrFormat("summary: trained=%zu quarantined=%zu\n",
                          records.size(), ingested->stats.quarantined);
   return 0;
@@ -383,61 +342,6 @@ bool ApplyTenantQuotas(const std::string& spec,
   return true;
 }
 
-/// Resolves --precision / --quant-profile into the shard runtime config
-/// (DESIGN.md §5.8). Returns false on a usage error (unknown precision
-/// name). Fallback ladder for --precision int8:
-///   profile loads        -> calibrated static activation scales
-///   profile missing      -> dynamic per-batch absmax scales (note printed)
-///   profile corrupt      -> fp32 (warning printed; serving never crashes
-///                           or refuses over a bad sibling artifact)
-bool ApplyPrecisionFlags(const Flags& flags, const std::string& model_path,
-                         serve::ServingRuntimeConfig* config) {
-  const std::string name = flags.Get("precision", "fp32");
-  const std::optional<Precision> precision =
-      KernelRegistry::ParsePrecision(name);
-  if (!precision.has_value()) {
-    std::cerr << "invalid --precision '" << name
-              << "' (want fp32|bf16|int8)\n";
-    return false;
-  }
-  config->precision = *precision;
-  if (*precision != Precision::kInt8) return true;
-  const std::string profile_path = flags.Get(
-      "quant-profile",
-      model_path.empty() ? "" : core::QuantProfilePathFor(model_path));
-  if (profile_path.empty()) return true;  // dynamic scales
-  auto profile = core::LoadQuantizationProfile(profile_path);
-  if (profile.ok()) {
-    std::cout << StrFormat(
-        "int8 profile: %s (%zu layers, clip p%.1f over %zu plans)\n",
-        profile_path.c_str(), profile->layers.size(), profile->clip_percentile,
-        profile->samples);
-    config->quant_profile =
-        std::make_shared<core::QuantizationProfile>(std::move(*profile));
-  } else if (profile.status().code() == StatusCode::kDataCorruption) {
-    std::cerr << "warning: quantization profile corrupt ("
-              << profile.status().ToString() << "); serving fp32\n";
-    config->precision = Precision::kFp32;
-  } else {
-    std::cerr << "note: no quantization profile at " << profile_path
-              << "; int8 uses dynamic per-batch activation scales\n";
-  }
-  return true;
-}
-
-/// One-line precision summary printed after a serve run when a non-fp32
-/// tier was requested.
-void PrintPrecisionSummary(Precision requested, Precision active,
-                           const cost::ServingStats& stats,
-                           size_t resident_bytes) {
-  std::cout << StrFormat(
-      "precision: requested=%s active=%s quantized-batches=%zu "
-      "fallbacks=%zu resident-weights=%zuB\n",
-      KernelRegistry::PrecisionName(requested),
-      KernelRegistry::PrecisionName(active), stats.quantized_batches,
-      stats.precision_fallbacks, resident_bytes);
-}
-
 /// The serving tier both serve modes run: one estimator + model instance per
 /// shard behind the fingerprint-routed, tenant-quota'd ShardedServingRuntime.
 struct ServingTier {
@@ -446,7 +350,7 @@ struct ServingTier {
 };
 
 /// Builds and starts the tier from the serve flags (--shards, --deadline-ms,
-/// queue/batch/cache/governor/precision flags, --tenant-quota,
+/// queue/batch/cache/governor flags, --tenant-quota,
 /// --memory-budget). Returns 0, or the exit code to fail with.
 int StartServingTier(const Flags& flags,
                      const std::vector<workload::QueryRecord>& records,
@@ -491,7 +395,6 @@ int StartServingTier(const Flags& flags,
   config.shard.cache_entries =
       static_cast<size_t>(flags.GetInt("cache-entries", 1024));
   config.shard.plan_limits = PlanLimitsFromFlags(flags);
-  if (!ApplyPrecisionFlags(flags, model_path, &config.shard)) return 2;
   config.memory_budget_bytes =
       static_cast<size_t>(flags.GetInt("memory-budget", 0));
   tier->runtime =
@@ -801,8 +704,7 @@ int ServeHttp(const Flags& flags, const std::string& host, uint16_t port,
 
 /// Exit summary of both serve modes, printed once the tier has drained:
 /// tier/degradation counters, queue + cache, latency, shard/tenant/memory
-/// admission, the lifecycle line in continual mode, and the precision line
-/// when a non-fp32 tier was requested.
+/// admission, and the lifecycle line in continual mode.
 void PrintServeSummary(const serve::ShardedServingRuntime& runtime,
                        const ContinualLoop& loop, size_t quarantined) {
   const cost::ServingStats stats = loop.manager == nullptr
@@ -849,16 +751,6 @@ void PrintServeSummary(const serve::ShardedServingRuntime& runtime,
         stats.model_swaps, stats.model_rollbacks, stats.rejected_candidates,
         stats.drift_flags, stats.drift_qerr_p50, stats.drift_qerr_p95,
         stats.drift_baseline_p95);
-  }
-  const Precision precision = runtime.config().shard.precision;
-  if (precision != Precision::kFp32) {
-    size_t resident_bytes = 0;
-    for (size_t s = 0; s < runtime.ShardCount(); ++s) {
-      resident_bytes += runtime.shard(s).resident_weight_bytes();
-    }
-    PrintPrecisionSummary(precision,
-                          runtime.shard(0).active_precision(), stats,
-                          resident_bytes);
   }
 }
 
@@ -1045,9 +937,6 @@ int Usage() {
          "            [--snapshot-every N] [--snapshot FILE] [--resume]\n"
          "            [--max-plan-nodes N] [--max-plan-depth D]\n"
          "            [--quarantine-file FILE]\n"
-         "            [--calibrate N (int8 activation calibration over N\n"
-         "             training plans -> OUT.qprof; default 64, 0=skip)]\n"
-         "            [--clip-pct P (calibration absmax percentile, 99.0)]\n"
          "  predict   --model FILE --trace FILE [--limit N]\n"
          "  serve     --model FILE --trace FILE [--deadline-ms MS]\n"
          "            [--no-model] [--limit N]\n"
@@ -1060,11 +949,6 @@ int Usage() {
          "            [--retrain-epochs E] [--candidate FILE]\n"
          "            [--drift-threshold X] [--probation-window N]\n"
          "            [--rollback-qerr X]\n"
-         "            [--precision fp32|bf16|int8 (inference kernel tier;\n"
-         "             fp32 = exact historical path)]\n"
-         "            [--quant-profile FILE (int8 activation scales;\n"
-         "             default MODEL.qprof; missing -> dynamic scales,\n"
-         "             corrupt -> fp32 fallback)]\n"
          "            [--shards S (default 1)]\n"
          "            [--tenants K (spread queries over K tenants)]\n"
          "            [--tenant-quota T:INFLIGHT[:BYTES][,T:...]]\n"

@@ -54,7 +54,8 @@ size_t TreeConvStack::NumParameters() {
   return total;
 }
 
-void TreeConvStack::CollectQuantLayers(std::vector<QuantizableLayer*>* out) {
+void TreeConvStack::CollectFreezableLayers(
+    std::vector<FreezableLayer*>* out) {
   for (auto& conv : convs_) out->push_back(conv.get());
 }
 
@@ -121,7 +122,7 @@ size_t DenseHead::NumParameters() {
   return total;
 }
 
-void DenseHead::CollectQuantLayers(std::vector<QuantizableLayer*>* out) {
+void DenseHead::CollectFreezableLayers(std::vector<FreezableLayer*>* out) {
   for (auto& layer : layers_) {
     if (auto* dense = dynamic_cast<Dense*>(layer.get())) out->push_back(dense);
   }

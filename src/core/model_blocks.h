@@ -40,9 +40,9 @@ class TreeConvStack {
   size_t output_dim() const { return output_dim_; }
   size_t num_layers() const { return convs_.size(); }
 
-  /// Appends the stack's quantizable layers (every TreeConvLayer) in forward
-  /// order (see CostModel::CollectQuantLayers).
-  void CollectQuantLayers(std::vector<QuantizableLayer*>* out);
+  /// Appends the stack's freezable layers (every TreeConvLayer) in forward
+  /// order (see CostModel::CollectFreezableLayers).
+  void CollectFreezableLayers(std::vector<FreezableLayer*>* out);
 
  private:
   size_t output_dim_;
@@ -85,9 +85,9 @@ class DenseHead {
   std::vector<ParamRef> State();
   size_t NumParameters();
 
-  /// Appends the head's quantizable layers (every Dense) in forward order
-  /// (see CostModel::CollectQuantLayers).
-  void CollectQuantLayers(std::vector<QuantizableLayer*>* out);
+  /// Appends the head's freezable layers (every Dense) in forward order
+  /// (see CostModel::CollectFreezableLayers).
+  void CollectFreezableLayers(std::vector<FreezableLayer*>* out);
 
  private:
   std::vector<std::unique_ptr<Layer>> layers_;

@@ -1,7 +1,6 @@
 #include "core/pipeline.h"
 
 #include "embed/predicate_tokenizer.h"
-#include "nn/quantize.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -213,82 +212,30 @@ CostModel* PrestroidPipeline::model() {
                               : static_cast<CostModel*>(full_model_.get());
 }
 
-Status PrestroidPipeline::SetInferencePrecision(
-    Precision precision, const QuantizationProfile* profile) {
-  std::vector<QuantizableLayer*> layers;
-  model()->CollectQuantLayers(&layers);
-  // Clear first: any failure below leaves the pipeline serving plain fp32,
-  // never a half-frozen mix of precisions.
-  for (QuantizableLayer* layer : layers) layer->ClearInferencePrecision();
-  inference_precision_ = Precision::kFp32;
-  if (precision == Precision::kFp32) return Status::OK();
-  if (layers.empty()) {
-    return Status::FailedPrecondition(
-        "model has no quantizable layers for precision " +
-        std::string(KernelRegistry::PrecisionName(precision)));
-  }
-  if (profile != nullptr && profile->layers.size() != layers.size()) {
-    return Status::InvalidArgument(StrFormat(
-        "quantization profile has %zu layers but the model has %zu — "
-        "recalibrate against this model",
-        profile->layers.size(), layers.size()));
-  }
-  for (size_t i = 0; i < layers.size(); ++i) {
-    const float act_scale =
-        profile != nullptr ? profile->layers[i].act_scale : -1.0f;
-    Status prepared = layers[i]->PrepareInferencePrecision(precision, act_scale);
-    if (!prepared.ok()) {
-      for (QuantizableLayer* layer : layers) layer->ClearInferencePrecision();
-      return prepared;
+size_t PrestroidPipeline::FreezeInferenceWeights() {
+  std::vector<FreezableLayer*> layers;
+  model()->CollectFreezableLayers(&layers);
+  const ExecutionContext* ctx = model()->execution_context();
+  const bool blocked =
+      ctx != nullptr &&
+      ctx->kernels().backend(KernelOp::kGemm) == KernelBackend::kBlocked &&
+      ctx->kernels().backend(KernelOp::kTreeConv) == KernelBackend::kBlocked;
+  size_t bytes = 0;
+  for (FreezableLayer* layer : layers) {
+    if (blocked) {
+      layer->FreezeWeights();
+    } else {
+      layer->ThawWeights();
     }
+    bytes += layer->resident_weight_bytes();
   }
-  inference_precision_ = precision;
-  return Status::OK();
+  return bytes;
 }
 
-Result<QuantizationProfile> PrestroidPipeline::CalibrateQuantization(
-    const std::vector<const PlanFeatures*>& sample, double clip_percentile) {
-  if (inference_precision_ != Precision::kFp32) {
-    return Status::FailedPrecondition(
-        "calibration must run on the fp32 pipeline — reset the precision "
-        "first");
-  }
-  if (sample.empty()) {
-    return Status::InvalidArgument("calibration needs at least one plan");
-  }
-  std::vector<QuantizableLayer*> layers;
-  model()->CollectQuantLayers(&layers);
-  if (layers.empty()) {
-    return Status::FailedPrecondition("model has no quantizable layers");
-  }
-  std::vector<QuantCalibration> recorders(layers.size());
-  for (size_t i = 0; i < layers.size(); ++i) {
-    layers[i]->set_calibration_sink(&recorders[i]);
-  }
-  // The recording pass: fp32 eval forwards; predictions are discarded.
-  PredictFeaturized(sample);
-  for (QuantizableLayer* layer : layers) layer->set_calibration_sink(nullptr);
-
-  QuantizationProfile profile;
-  profile.clip_percentile = clip_percentile;
-  profile.samples = sample.size();
-  profile.layers.reserve(layers.size());
-  for (const QuantCalibration& rec : recorders) {
-    PRESTROID_ASSIGN_OR_RETURN(QuantRange range,
-                               rec.Resolve(clip_percentile));
-    profile.layers.push_back({range.act_scale, range.act_min, range.act_max});
-  }
-  return profile;
-}
-
-size_t PrestroidPipeline::InferenceWeightBytes() {
-  std::vector<QuantizableLayer*> layers;
-  model()->CollectQuantLayers(&layers);
-  size_t total = 0;
-  for (QuantizableLayer* layer : layers) {
-    total += layer->resident_weight_bytes();
-  }
-  return total;
+void PrestroidPipeline::ThawInferenceWeights() {
+  std::vector<FreezableLayer*> layers;
+  model()->CollectFreezableLayers(&layers);
+  for (FreezableLayer* layer : layers) layer->ThawWeights();
 }
 
 TrainResult PrestroidPipeline::Train(const workload::DatasetSplits& splits,

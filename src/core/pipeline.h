@@ -9,7 +9,6 @@
 #include "core/full_tree_model.h"
 #include "core/label_transform.h"
 #include "core/metrics.h"
-#include "core/quant_profile.h"
 #include "core/subtree_model.h"
 #include "embed/word2vec.h"
 #include "nn/trainer.h"
@@ -108,31 +107,18 @@ class PrestroidPipeline {
   std::vector<double> PredictFeaturized(
       const std::vector<const PlanFeatures*>& batch);
 
-  // --- Low-precision inference (the resident kernel tier; DESIGN.md §5.8) --
+  // --- Resident inference weights (DESIGN.md §5.8) ------------------------
 
-  /// Freezes the model's eval-mode GEMM weights at `precision`. kFp32
-  /// clears any resident state and restores the exact historical path.
-  /// For kInt8, `profile` supplies the calibrated per-layer activation
-  /// scales; null falls back to dynamic per-batch absmax. A profile whose
-  /// layer count does not match the model is kInvalidArgument and leaves
-  /// the pipeline at fp32. Training a frozen pipeline is forbidden (layer
-  /// Backward CHECK-fails); call SetInferencePrecision(kFp32, null) first.
-  Status SetInferencePrecision(Precision precision,
-                               const QuantizationProfile* profile);
-  Precision inference_precision() const { return inference_precision_; }
-
-  /// One-pass post-training calibration: records every quantizable layer's
-  /// GEMM-input range over fp32 eval forwards of `sample`, then resolves
-  /// percentile-clipped symmetric scales (nn/quantize.h). The pipeline must
-  /// be at fp32. The returned profile pairs with SetInferencePrecision and
-  /// Save/LoadQuantizationProfile.
-  Result<QuantizationProfile> CalibrateQuantization(
-      const std::vector<const PlanFeatures*>& sample, double clip_percentile);
-
-  /// Bytes of the model's GEMM weight operands as served at the active
-  /// precision (resident layouts when frozen, fp32 otherwise) — the
-  /// weight-memory term of the Fig 6-style serving footprint report.
-  size_t InferenceWeightBytes();
+  /// Freezes the model's eval-mode GEMM weights into resident fp32 panels
+  /// when the model's execution context selects KernelBackend::kBlocked for
+  /// both kGemm and kTreeConv; frozen forwards are bit-identical to that
+  /// path. Under any scalar choice the model stays unfrozen, on the per-call
+  /// reference path. Returns the resident bytes (0 when not frozen).
+  /// Training a frozen pipeline is forbidden (layer Backward CHECK-fails);
+  /// call ThawInferenceWeights() first.
+  size_t FreezeInferenceWeights();
+  /// Drops any resident panels; forwards take the per-call path again.
+  void ThawInferenceWeights();
 
   CostModel* model();
   /// The pipeline-owned execution context (thread pool + scratch arena +
@@ -179,7 +165,6 @@ class PrestroidPipeline {
   std::unique_ptr<FullTreeModel> full_model_;
   std::vector<float> targets_;
   std::vector<double> cpu_minutes_;
-  Precision inference_precision_ = Precision::kFp32;
 };
 
 }  // namespace prestroid::core

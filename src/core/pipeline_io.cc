@@ -19,7 +19,6 @@
 #include <sstream>
 
 #include "core/pipeline.h"
-#include "core/quant_profile.h"
 #include "util/artifact_io.h"
 #include "util/logging.h"
 
@@ -350,87 +349,6 @@ Result<std::unique_ptr<PrestroidPipeline>> PrestroidPipeline::LoadFile(
   std::istringstream model_is(model_section->payload);
   PRESTROID_RETURN_NOT_OK(PipelineSerde::ParseModel(model_is, pipeline.get()));
   return pipeline;
-}
-
-// --- Quantization profile (core/quant_profile.h) ---------------------------
-//
-// Its own artifact file rather than a section of the model container: the
-// profile is regenerated by recalibration without retraining, and a damaged
-// profile must degrade serving to fp32 while the model itself keeps loading.
-// The payload is versioned text inside a CRC-validated "qprof" section.
-
-namespace {
-
-/// Quantizable-layer count bound: a corrupted count must not drive an
-/// allocation. Real models have a handful of conv + dense layers.
-constexpr size_t kMaxProfileLayers = 4096;
-
-}  // namespace
-
-Status SaveQuantizationProfile(const std::string& path,
-                               const QuantizationProfile& profile) {
-  std::ostringstream os;
-  os.precision(9);
-  os << "qprof_version 1\n";
-  os << "clip_percentile " << profile.clip_percentile << "\n";
-  os << "samples " << profile.samples << "\n";
-  os << "layers " << profile.layers.size() << "\n";
-  for (const QuantLayerProfile& layer : profile.layers) {
-    os << "layer " << layer.act_scale << " " << layer.act_min << " "
-       << layer.act_max << "\n";
-  }
-  return WriteArtifactFile(path, {{"qprof", os.str()}});
-}
-
-Result<QuantizationProfile> LoadQuantizationProfile(const std::string& path) {
-  PRESTROID_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
-  if (bytes.rfind(kV2Magic, 0) != 0) {
-    return Status::DataCorruption("not a quantization-profile artifact: " +
-                                  path);
-  }
-  PRESTROID_ASSIGN_OR_RETURN(std::vector<ArtifactSection> sections,
-                             DecodeArtifact(bytes));
-  PRESTROID_ASSIGN_OR_RETURN(const ArtifactSection* qprof,
-                             FindSection(sections, "qprof"));
-  std::istringstream is(qprof->payload);
-  std::string tag;
-  size_t version = 0;
-  is >> tag >> version;
-  if (!is.good() || tag != "qprof_version") {
-    return Status::ParseError("missing qprof_version header");
-  }
-  if (version != 1) {
-    return Status::DataCorruption("unsupported quantization-profile version");
-  }
-  QuantizationProfile profile;
-  size_t layer_count = 0;
-  is >> tag >> profile.clip_percentile;
-  if (is.fail() || tag != "clip_percentile") {
-    return Status::ParseError("expected clip_percentile");
-  }
-  is >> tag >> profile.samples;
-  if (is.fail() || tag != "samples") {
-    return Status::ParseError("expected samples");
-  }
-  is >> tag >> layer_count;
-  if (is.fail() || tag != "layers") {
-    return Status::ParseError("expected layers");
-  }
-  if (layer_count > kMaxProfileLayers) {
-    return Status::DataCorruption("implausible quantization-profile layer count");
-  }
-  profile.layers.resize(layer_count);
-  for (QuantLayerProfile& layer : profile.layers) {
-    is >> tag >> layer.act_scale >> layer.act_min >> layer.act_max;
-    if (is.fail() || tag != "layer") {
-      return Status::ParseError("truncated quantization-profile layer");
-    }
-    if (!std::isfinite(layer.act_scale) || layer.act_scale < 0.0f) {
-      return Status::DataCorruption(
-          "quantization-profile activation scale out of range");
-    }
-  }
-  return profile;
 }
 
 }  // namespace prestroid::core

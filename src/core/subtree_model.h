@@ -86,9 +86,9 @@ class SubtreeModel : public CostModel {
   /// Binds `ctx` on every layer of the trunk, pooling and head.
   void SetExecutionContext(ExecutionContext* ctx) override;
   ExecutionContext* execution_context() override { return ctx_; }
-  void CollectQuantLayers(std::vector<QuantizableLayer*>* out) override {
-    conv_->CollectQuantLayers(out);
-    head_->CollectQuantLayers(out);
+  void CollectFreezableLayers(std::vector<FreezableLayer*>* out) override {
+    conv_->CollectFreezableLayers(out);
+    head_->CollectFreezableLayers(out);
   }
 
   /// Exact bytes of the padded input tensor for one batch (Figure 6 top):

@@ -16,14 +16,11 @@ Dense::Dense(size_t in_features, size_t out_features, Rng* rng)
 Tensor& Dense::Forward(const Tensor& input) {
   PRESTROID_CHECK_EQ(input.rank(), 2u);
   PRESTROID_CHECK_EQ(input.dim(1), in_features_);
-  if (resident_ != nullptr && !training_) {
-    // Frozen inference path: resident (pre-packed / quantized) weights, no
-    // input cache (Backward is forbidden while frozen).
+  if (frozen() && !training_) {
+    // Frozen inference path: resident pre-packed weights, no input cache
+    // (Backward is forbidden while frozen).
     resident_->Gemm(&output_, input, &bias_, GemmEpilogue::kBias, ctx_);
     return output_;
-  }
-  if (calibration_ != nullptr) {
-    calibration_->RecordRows(input.data(), input.dim(0), in_features_);
   }
   input_cache_.CopyFrom(input);
   // Fused-bias GEMM: on the scalar backend this is bit-identical to the
@@ -32,15 +29,8 @@ Tensor& Dense::Forward(const Tensor& input) {
   return output_;
 }
 
-Status Dense::PrepareInferencePrecision(Precision precision, float act_scale) {
-  resident_ = std::make_unique<ResidentWeights>(
-      ResidentWeights::Build(weight_, precision));
-  resident_->set_activation_scale(act_scale);
-  return Status::OK();
-}
-
 Tensor& Dense::Backward(const Tensor& grad_output) {
-  PRESTROID_CHECK(resident_ == nullptr);  // no training while frozen
+  PRESTROID_CHECK(!frozen());  // no training while frozen
   PRESTROID_CHECK_EQ(grad_output.dim(0), input_cache_.dim(0));
   PRESTROID_CHECK_EQ(grad_output.dim(1), out_features_);
   // Each gradient term is materialized in a workspace and then added with a

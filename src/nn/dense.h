@@ -1,47 +1,24 @@
 #ifndef PRESTROID_NN_DENSE_H_
 #define PRESTROID_NN_DENSE_H_
 
-#include <memory>
-
 #include "nn/layer.h"
-#include "nn/quantize.h"
-#include "tensor/kernels/resident_weights.h"
 #include "util/random.h"
 
 namespace prestroid {
 
 /// Fully-connected layer: y = x W + b, x is [batch, in], W is [in, out].
 ///
-/// Quantizable (nn/quantize.h): PrepareInferencePrecision freezes W into a
-/// ResidentWeights; subsequent eval-mode Forwards run the resident kernel
-/// (pre-packed fp32 / bf16 / int8 fused dequant+bias) instead of the
+/// Freezable (nn/layer.h): FreezeWeights packs W into resident panels;
+/// subsequent eval-mode Forwards run the resident GEMM instead of the
 /// per-call-packing MatMulBiasInto path. Backward while frozen is a
 /// programming error and CHECK-fails.
-class Dense : public Layer, public QuantizableLayer {
+class Dense : public Layer, public FreezableLayer {
  public:
   Dense(size_t in_features, size_t out_features, Rng* rng);
 
   Tensor& Forward(const Tensor& input) override;
   Tensor& Backward(const Tensor& grad_output) override;
   std::vector<ParamRef> Params() override;
-
-  // QuantizableLayer:
-  Status PrepareInferencePrecision(Precision precision,
-                                   float act_scale) override;
-  void ClearInferencePrecision() override { resident_.reset(); }
-  Precision inference_precision() const override {
-    return resident_ != nullptr ? resident_->precision() : Precision::kFp32;
-  }
-  void set_calibration_sink(QuantCalibration* sink) override {
-    calibration_ = sink;
-  }
-  size_t resident_weight_bytes() const override {
-    return resident_ != nullptr ? resident_->resident_bytes()
-                                : weight_.size() * sizeof(float);
-  }
-  size_t fp32_weight_bytes() const override {
-    return weight_.size() * sizeof(float);
-  }
 
   size_t in_features() const { return in_features_; }
   size_t out_features() const { return out_features_; }
@@ -63,9 +40,8 @@ class Dense : public Layer, public QuantizableLayer {
   Tensor grad_input_;       // [batch, in]
   Tensor weight_grad_tmp_;  // [in, out] per-batch term, then += into grads
   Tensor bias_grad_tmp_;    // [out]
-  // Low-precision inference state (nn/quantize.h).
-  std::unique_ptr<ResidentWeights> resident_;
-  QuantCalibration* calibration_ = nullptr;
+
+  const Tensor& GemmWeights() override { return weight_; }
 };
 
 }  // namespace prestroid

@@ -1,10 +1,13 @@
 #ifndef PRESTROID_NN_LAYER_H_
 #define PRESTROID_NN_LAYER_H_
 
+#include <cstddef>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "tensor/execution_context.h"
+#include "tensor/kernels/resident_weights.h"
 #include "tensor/tensor.h"
 
 namespace prestroid {
@@ -78,6 +81,40 @@ class Layer {
 
 /// Sums parameter counts across a set of layers.
 size_t TotalParameters(const std::vector<Layer*>& layers);
+
+/// A layer whose eval-mode forward is one GEMM against a weight operand that
+/// can be frozen into resident packed fp32 panels
+/// (tensor/kernels/resident_weights.h), so serving never repacks weights
+/// per request. Frozen forwards are bit-identical to the blocked backend's
+/// per-call-packing path. Dense and TreeConvLayer implement it; models list
+/// theirs via CostModel::CollectFreezableLayers.
+class FreezableLayer {
+ public:
+  FreezableLayer() = default;
+  FreezableLayer(const FreezableLayer&) = delete;
+  FreezableLayer& operator=(const FreezableLayer&) = delete;
+  virtual ~FreezableLayer() = default;
+
+  /// Packs the current weights. Training must not run while frozen —
+  /// Backward() CHECK-fails. Call again after a weight change to re-freeze.
+  void FreezeWeights() {
+    resident_ = std::make_unique<ResidentWeights>(
+        ResidentWeights::Build(GemmWeights()));
+  }
+  /// Drops the panels; forwards take the per-call path again.
+  void ThawWeights() { resident_.reset(); }
+  bool frozen() const { return resident_ != nullptr; }
+  /// Bytes of the resident panels; 0 when not frozen.
+  size_t resident_weight_bytes() const {
+    return frozen() ? resident_->resident_bytes() : 0;
+  }
+
+ protected:
+  /// The row-major [k, n] GEMM weight operand the eval forward multiplies by.
+  virtual const Tensor& GemmWeights() = 0;
+
+  std::unique_ptr<ResidentWeights> resident_;
+};
 
 }  // namespace prestroid
 

@@ -35,10 +35,8 @@ Tensor& TreeConvLayer::Forward(const Tensor& features,
   structure_cache_ = &structure;
 
   // Frozen inference always takes the im2col lowering — that is the operand
-  // layout the resident weights were built for. Calibration does too, so the
-  // recorded activation ranges cover exactly the operand the int8 path will
-  // quantize, independent of the kTreeConv backend choice.
-  if (resident_ != nullptr || calibration_ != nullptr ||
+  // layout the resident weights were built for.
+  if (frozen() ||
       ctx_->kernels().backend(KernelOp::kTreeConv) == KernelBackend::kBlocked) {
     return ForwardBlocked(structure);
   }
@@ -84,7 +82,7 @@ Tensor& TreeConvLayer::Forward(const Tensor& features,
 }
 
 Tensor& TreeConvLayer::Backward(const Tensor& grad_output) {
-  PRESTROID_CHECK(resident_ == nullptr);  // no training while frozen
+  PRESTROID_CHECK(!frozen());  // no training while frozen
   PRESTROID_CHECK(structure_cache_ != nullptr);
   const TreeStructure& structure = *structure_cache_;
   const size_t batch = input_cache_.dim(0);
@@ -227,13 +225,7 @@ Tensor& TreeConvLayer::ForwardBlocked(const TreeStructure& structure) {
   const size_t batch = input_cache_.dim(0);
   const size_t nodes = input_cache_.dim(1);
   GatherWindows(structure);
-  if (calibration_ != nullptr && resident_ == nullptr) {
-    // Calibration records the actual GEMM operand — the gathered windows —
-    // so the resolved scale covers exactly what the int8 path quantizes.
-    calibration_->RecordRows(packed_input_.data(), batch * nodes,
-                             3 * in_features_);
-  }
-  if (resident_ != nullptr) {
+  if (frozen()) {
     resident_->Gemm(&output_, packed_input_, &bias_, GemmEpilogue::kBias,
                     ctx_);
     output_.ReshapeInPlace({batch, nodes, out_features_});
@@ -246,15 +238,6 @@ Tensor& TreeConvLayer::ForwardBlocked(const TreeStructure& structure) {
   MatMulBiasInto(&output_, packed_input_, wcat_, bias_, ctx_);
   output_.ReshapeInPlace({batch, nodes, out_features_});
   return output_;
-}
-
-Status TreeConvLayer::PrepareInferencePrecision(Precision precision,
-                                                float act_scale) {
-  StackWeights();
-  resident_ = std::make_unique<ResidentWeights>(
-      ResidentWeights::Build(wcat_, precision));
-  resident_->set_activation_scale(act_scale);
-  return Status::OK();
 }
 
 Tensor& TreeConvLayer::BackwardBlocked(const Tensor& grad_output,

@@ -45,11 +45,9 @@ Status ServingShard::Start() {
     queue_high_watermark_ = 0;
   }
   {
-    // Freeze the attached pipeline at the configured serving precision
-    // before the worker can run a batch. Failure degrades to fp32 (counted)
-    // rather than failing Start — the shard must serve regardless.
+    // Freeze before the worker can run a batch.
     std::lock_guard<std::mutex> serve_lock(serve_mu_);
-    ApplyPrecisionLocked();
+    FreezeLocked();
   }
   worker_ = std::thread([this] { WorkerLoop(); });
   return Status::OK();
@@ -89,6 +87,12 @@ void ServingShard::Shutdown() {
       ServeBatch(batch);
     }
     Resolve(batch);
+  }
+  std::lock_guard<std::mutex> serve_lock(serve_mu_);
+  if (resident_weight_bytes_ > 0) {
+    // Hand the estimator back with a plain, trainable pipeline.
+    estimator_->pipeline()->ThawInferenceWeights();
+    ReleaseResidentLocked();
   }
 }
 
@@ -134,6 +138,7 @@ std::unique_ptr<core::PrestroidPipeline> ServingShard::SwapPipelineLocked(
     std::unique_ptr<core::PrestroidPipeline> pipeline, bool is_rollback) {
   std::unique_ptr<core::PrestroidPipeline> previous =
       estimator_->ReleasePipeline();
+  if (previous != nullptr) previous->ThawInferenceWeights();
   estimator_->AttachPipeline(std::move(pipeline));
   estimator_->ResetModelLatency();
   ++cache_generation_;
@@ -143,46 +148,23 @@ std::unique_ptr<core::PrestroidPipeline> ServingShard::SwapPipelineLocked(
   } else {
     ++model_swaps_;
   }
-  // The incoming pipeline arrives fp32 (swap candidates are validated at
-  // fp32); re-freeze it at the shard's configured precision so a hot-swap
-  // never silently downgrades a quantized deployment.
-  ApplyPrecisionLocked();
+  FreezeLocked();
   return previous;
 }
 
-void ServingShard::ApplyPrecisionLocked() {
-  if (memory_ != nullptr && resident_charged_bytes_ > 0) {
-    memory_->Release(resident_charged_bytes_);
-    resident_charged_bytes_ = 0;
-  }
-  active_precision_ = Precision::kFp32;
-  resident_weight_bytes_ = 0;
+void ServingShard::FreezeLocked() {
+  ReleaseResidentLocked();
   core::PrestroidPipeline* pipeline = estimator_->pipeline();
   if (pipeline == nullptr) return;
-  if (config_.precision == Precision::kFp32) {
-    // Make the exact historical path explicit: clear any resident state a
-    // previous owner of this pipeline may have left behind. Clearing to
-    // fp32 cannot fail.
-    pipeline->SetInferencePrecision(Precision::kFp32, nullptr);
-    resident_weight_bytes_ = pipeline->InferenceWeightBytes();
-    return;
-  }
-  Status frozen = pipeline->SetInferencePrecision(config_.precision,
-                                                  config_.quant_profile.get());
-  if (!frozen.ok()) {
-    // SetInferencePrecision leaves the pipeline fp32 on failure; serve that.
-    ++precision_fallbacks_;
-    resident_weight_bytes_ = pipeline->InferenceWeightBytes();
-    return;
-  }
-  active_precision_ = config_.precision;
-  resident_weight_bytes_ = pipeline->InferenceWeightBytes();
-  if (memory_ != nullptr && resident_weight_bytes_ > 0) {
-    // Unconditional charge: the weights are already resident — this records
-    // the footprint for the box-level budget rather than gating it.
-    memory_->Charge(resident_weight_bytes_);
-    resident_charged_bytes_ = resident_weight_bytes_;
-  }
+  resident_weight_bytes_ = pipeline->FreezeInferenceWeights();
+  // Unconditional charge: the panels are already resident — this records
+  // the footprint for the box-level budget rather than gating it.
+  if (memory_ != nullptr) memory_->Charge(resident_weight_bytes_);
+}
+
+void ServingShard::ReleaseResidentLocked() {
+  if (memory_ != nullptr) memory_->Release(resident_weight_bytes_);
+  resident_weight_bytes_ = 0;
 }
 
 cost::ServingStats ServingShard::StatsSnapshot() const {
@@ -195,8 +177,6 @@ cost::ServingStats ServingShard::StatsSnapshot() const {
     stats.cache_evictions = cache_.stats().evictions;
     stats.model_swaps = model_swaps_;
     stats.model_rollbacks = model_rollbacks_;
-    stats.quantized_batches = quantized_batches_;
-    stats.precision_fallbacks = precision_fallbacks_;
   }
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
@@ -219,11 +199,6 @@ size_t ServingShard::arena_peak_bytes() const {
 size_t ServingShard::arena_capacity_bytes() const {
   std::lock_guard<std::mutex> lock(serve_mu_);
   return arena_.capacity_bytes();
-}
-
-Precision ServingShard::active_precision() const {
-  std::lock_guard<std::mutex> lock(serve_mu_);
-  return active_precision_;
 }
 
 size_t ServingShard::resident_weight_bytes() const {
@@ -332,7 +307,6 @@ void ServingShard::ServeBatch(std::vector<PendingRequest>& batch) {
   if (admitted == 0) return;
 
   // One fused eval-mode forward pass for every admitted request.
-  if (active_precision_ != Precision::kFp32) ++quantized_batches_;
   const auto forward_start = std::chrono::steady_clock::now();
   const std::vector<double> predicted = pipeline->PredictFeaturized(
       std::vector<const core::PlanFeatures*>(feature_ptrs,

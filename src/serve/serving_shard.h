@@ -11,7 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/quant_profile.h"
 #include "cost/serving_estimator.h"
 #include "plan/plan_limits.h"
 #include "plan/plan_node.h"
@@ -49,17 +48,6 @@ struct ServingRuntimeConfig {
   /// ServingStats::limit_rejects) so a hostile plan never reaches the
   /// hashing/encoding machinery.
   plan::PlanLimits plan_limits;
-  /// Inference precision for the shard's model tier (DESIGN.md §5.8). kFp32
-  /// is the exact historical path; kBf16/kInt8 freeze the attached
-  /// pipeline's weights into the resident kernel tier at Start() and after
-  /// every pipeline swap. If freezing fails (e.g. a profile/model layer
-  /// mismatch) the shard serves fp32 and counts a precision_fallback — the
-  /// degradation-chain contract: never crash, never refuse to serve.
-  Precision precision = Precision::kFp32;
-  /// Calibrated activation scales for kInt8 (null = dynamic per-batch
-  /// absmax). Shared because every shard of a sharded runtime applies the
-  /// same profile to its own pipeline replica.
-  std::shared_ptr<const core::QuantizationProfile> quant_profile;
 };
 
 /// Receives one request's answer. Runs exactly once, on the shard's batch
@@ -131,16 +119,18 @@ class ServingShard {
   ServingShard(const ServingShard&) = delete;
   ServingShard& operator=(const ServingShard&) = delete;
 
-  /// Spawns the batch worker. Submissions made before Start() sit in the
-  /// queue (admission control applies) and are served once it runs.
+  /// Freezes the attached pipeline's weights (FreezeLocked) and spawns the
+  /// batch worker. Submissions made before Start() sit in the queue
+  /// (admission control applies) and are served once it runs.
   /// Restartable: Start() after Shutdown() reopens admission and resets the
   /// queue high-watermark, so each run reports its own peak.
   Status Start();
 
   /// Stops accepting work, drains every queued request (running its
   /// callback), and joins the worker. If Start() was never called the drain
-  /// happens inline on the calling thread. Idempotent; Start() may be called
-  /// again afterwards.
+  /// happens inline on the calling thread. Then thaws the attached pipeline
+  /// and releases its resident-weight charge. Idempotent; Start() may be
+  /// called again afterwards.
   void Shutdown();
 
   /// Enqueues one routed request. The facade has already run the governor,
@@ -174,7 +164,8 @@ class ServingShard {
   /// any) has finished on the old model. Attaches `pipeline`, resets the
   /// model-latency EWMA, bumps the feature-cache generation (stale
   /// featurizations can never reach the new model), and returns the previous
-  /// pipeline so the caller can retain it for instant rollback. Queued
+  /// pipeline, thawed, so the caller can retain it for instant rollback or
+  /// train it. The incoming pipeline is frozen (FreezeLocked). Queued
   /// requests are never dropped: they run on whichever model is attached
   /// when their batch is served. nullptr detaches the model tier (the
   /// degradation chain keeps answering). `is_rollback` only selects which
@@ -203,14 +194,9 @@ class ServingShard {
   /// memory footprint, not a leak.
   size_t arena_capacity_bytes() const;
 
-  /// Precision the model tier is actually serving at: config().precision
-  /// when the freeze succeeded, kFp32 after a precision fallback or when no
-  /// pipeline is attached.
-  Precision active_precision() const;
-
-  /// Bytes of the attached pipeline's GEMM weights as served (resident
-  /// low-precision layouts when frozen, fp32 otherwise); 0 with no pipeline.
-  /// Charged against the box MemoryTracker while resident.
+  /// Bytes of the attached pipeline's resident weight panels; 0 when it is
+  /// not frozen or none is attached. Charged against the box MemoryTracker
+  /// while resident.
   size_t resident_weight_bytes() const;
 
  private:
@@ -234,12 +220,14 @@ class ServingShard {
   /// back, after serve_mu_ is released.
   static void Resolve(std::vector<PendingRequest>& batch);
 
-  /// Applies config_.precision to the attached pipeline (serve_mu_ held):
-  /// releases any prior resident-weight memory charge, freezes the weights
-  /// at the configured precision, and charges the new resident footprint.
-  /// On failure the pipeline stays fp32 and precision_fallbacks_ ticks.
-  /// Called from Start() and after every SwapPipelineLocked.
-  void ApplyPrecisionLocked();
+  /// Freezes the attached pipeline's GEMM weights into resident fp32 panels
+  /// (serve_mu_ held; PrestroidPipeline::FreezeInferenceWeights decides by
+  /// the model's kernel backends) and charges their bytes to memory_,
+  /// releasing any prior charge first. Called from Start() and after every
+  /// SwapPipelineLocked.
+  void FreezeLocked();
+  /// Releases the resident-weight charge (serve_mu_ held).
+  void ReleaseResidentLocked();
 
   cost::ServingEstimator* estimator_;
   ServingRuntimeConfig config_;
@@ -260,11 +248,7 @@ class ServingShard {
   LatencyHistogram latency_hist_;
   size_t model_swaps_ = 0;
   size_t model_rollbacks_ = 0;
-  Precision active_precision_ = Precision::kFp32;
-  size_t resident_weight_bytes_ = 0;  // as-served weight footprint
-  size_t resident_charged_bytes_ = 0; // portion charged to memory_
-  size_t quantized_batches_ = 0;
-  size_t precision_fallbacks_ = 0;
+  size_t resident_weight_bytes_ = 0;  // charged to memory_ while set
   /// Per-batch staging storage (deadline/pointer arrays), reset per batch and
   /// charged against the box-level tracker. Worker-confined under serve_mu_.
   ScratchArena arena_;

@@ -43,24 +43,4 @@ std::optional<KernelBackend> KernelRegistry::ParseBackend(
   return std::nullopt;
 }
 
-const char* KernelRegistry::PrecisionName(Precision precision) {
-  switch (precision) {
-    case Precision::kFp32:
-      return "fp32";
-    case Precision::kBf16:
-      return "bf16";
-    case Precision::kInt8:
-      return "int8";
-  }
-  return "unknown";
-}
-
-std::optional<Precision> KernelRegistry::ParsePrecision(
-    const std::string& name) {
-  if (name == "fp32") return Precision::kFp32;
-  if (name == "bf16") return Precision::kBf16;
-  if (name == "int8") return Precision::kInt8;
-  return std::nullopt;
-}
-
 }  // namespace prestroid

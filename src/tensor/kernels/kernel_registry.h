@@ -32,24 +32,6 @@ enum class KernelOp {
 /// Number of entries in KernelOp.
 inline constexpr size_t kNumKernelOps = 4;
 
-/// Numeric precision of the eval-mode inference path (the resident-weight
-/// kernel tier of tensor/kernels/resident_weights.h). Training always runs
-/// fp32; the low-precision modes only change how frozen weights are stored
-/// and how the serving-time forward GEMMs accumulate:
-///
-///  - kFp32: the historical path. Bit-for-bit identical to every prior
-///    release under the selected KernelBackend.
-///  - kBf16: weights stored as bfloat16 (the high 16 bits of the fp32
-///    pattern, round-to-nearest-even), expanded on the fly and accumulated
-///    in fp32. Halves weight bandwidth; agrees with fp32 to ~1e-2 relative
-///    per GEMM (DESIGN.md §5.8).
-///  - kInt8: weights quantized symmetrically per output channel, activations
-///    per-tensor (calibrated or dynamic per-batch absmax), int32 accumulate
-///    with a fused dequant+bias(+ReLU) epilogue. ~4x weight-memory
-///    reduction; end-to-end predictions agree to the relaxed inference
-///    tolerance documented in DESIGN.md §5.8.
-enum class Precision { kFp32, kBf16, kInt8 };
-
 /// Per-op backend choice carried by an ExecutionContext. Defaults to
 /// DefaultBackend() (env PRESTROID_KERNEL, else blocked) for every op; the
 /// scalar path therefore stays one flag away everywhere.
@@ -82,10 +64,6 @@ class KernelRegistry {
   /// "scalar" / "blocked" <-> KernelBackend.
   static const char* BackendName(KernelBackend backend);
   static std::optional<KernelBackend> ParseBackend(const std::string& name);
-
-  /// "fp32" / "bf16" / "int8" <-> Precision.
-  static const char* PrecisionName(Precision precision);
-  static std::optional<Precision> ParsePrecision(const std::string& name);
 
  private:
   std::array<KernelBackend, kNumKernelOps> backends_;

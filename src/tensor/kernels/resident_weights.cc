@@ -1,9 +1,8 @@
 #include "tensor/kernels/resident_weights.h"
 
 #include <algorithm>
-#include <cmath>
+#include <cstdint>
 
-#include "tensor/kernels/gemm_quant.h"
 #include "util/logging.h"
 
 namespace prestroid {
@@ -20,55 +19,15 @@ size_t RowGrain(size_t row_cost_flops) {
 
 }  // namespace
 
-ResidentWeights ResidentWeights::Build(const Tensor& weights,
-                                       Precision precision) {
+ResidentWeights ResidentWeights::Build(const Tensor& weights) {
   PRESTROID_CHECK_EQ(weights.rank(), 2u);
   ResidentWeights rw;
-  rw.precision_ = precision;
   rw.rows_ = weights.dim(0);
   rw.cols_ = weights.dim(1);
-  const size_t k = rw.rows_, n = rw.cols_;
-  const float* w = weights.data();
-  switch (precision) {
-    case Precision::kFp32: {
-      rw.packed_fp32_.resize(GemmPackedBSize(k, n));
-      GemmPackB(k, n, w, /*rsb=*/n, /*csb=*/1, rw.packed_fp32_.data());
-      break;
-    }
-    case Precision::kBf16: {
-      rw.bf16_.resize(k * n);
-      for (size_t i = 0; i < k * n; ++i) rw.bf16_[i] = FloatToBf16(w[i]);
-      break;
-    }
-    case Precision::kInt8: {
-      rw.channel_scale_.assign(n, 0.0f);
-      for (size_t kk = 0; kk < k; ++kk) {
-        const float* row = w + kk * n;
-        for (size_t j = 0; j < n; ++j) {
-          const float v = std::fabs(row[j]);
-          if (v > rw.channel_scale_[j]) rw.channel_scale_[j] = v;
-        }
-      }
-      for (size_t j = 0; j < n; ++j) rw.channel_scale_[j] /= 127.0f;
-      rw.int8_.resize(Int8PairPackedSize(k, n));
-      PackInt8PairsB(k, n, w, rw.channel_scale_.data(), rw.int8_.data());
-      break;
-    }
-  }
+  rw.packed_.resize(GemmPackedBSize(rw.rows_, rw.cols_));
+  GemmPackB(rw.rows_, rw.cols_, weights.data(), /*rsb=*/rw.cols_, /*csb=*/1,
+            rw.packed_.data());
   return rw;
-}
-
-size_t ResidentWeights::resident_bytes() const {
-  switch (precision_) {
-    case Precision::kFp32:
-      return packed_fp32_.size() * sizeof(float);
-    case Precision::kBf16:
-      return bf16_.size() * sizeof(uint16_t);
-    case Precision::kInt8:
-      return int8_.size() * sizeof(int8_t) +
-             channel_scale_.size() * sizeof(float);
-  }
-  return 0;
 }
 
 void ResidentWeights::Gemm(Tensor* out, const Tensor& a, const Tensor* bias,
@@ -80,66 +39,20 @@ void ResidentWeights::Gemm(Tensor* out, const Tensor& a, const Tensor* bias,
   if (bias != nullptr) PRESTROID_CHECK_EQ(bias->size(), n);
   out->ResetShape({m, n});
   const float* ap = a.data();
+  const float* pb = packed_.data();
   const float* biasp = bias != nullptr ? bias->data() : nullptr;
   float* op = out->data();
   ctx->AddOp();
   // Flop accounting mirrors MatMulEpilogueInto so ExecStats comparisons
-  // between the legacy and resident paths line up.
+  // between the per-call-packing and resident paths line up.
   uint64_t flops = 2ull * m * k * n;
   if (epilogue == GemmEpilogue::kBias) flops += 1ull * m * n;
   if (epilogue == GemmEpilogue::kBiasRelu) flops += 2ull * m * n;
   ctx->AddFlops(flops);
-  const size_t grain = RowGrain(2 * k * n);
-
-  switch (precision_) {
-    case Precision::kFp32: {
-      const float* pb = packed_fp32_.data();
-      ctx->ParallelFor(0, m, grain, [&](size_t i0, size_t i1) {
-        GemmBlockedRows(i0, i1, k, n, ap, /*rsa=*/k, /*csa=*/1, pb, op, n,
-                        biasp, epilogue, /*accumulate=*/false);
-      });
-      return;
-    }
-    case Precision::kBf16: {
-      const uint16_t* bp = bf16_.data();
-      ctx->ParallelFor(0, m, grain, [&](size_t i0, size_t i1) {
-        GemmBf16Rows(i0, i1, k, n, ap, bp, biasp, epilogue, op, n);
-      });
-      return;
-    }
-    case Precision::kInt8: {
-      // Per-tensor activation scale: the calibrated clip, or this batch's
-      // absmax when no profile is set. Quantization runs on the calling
-      // thread (m * k is small at serving shapes); the per-channel dequant
-      // scale folds a_scale in once so the epilogue is a single multiply.
-      float a_scale = act_scale_;
-      if (a_scale <= 0.0f) a_scale = AbsMax(ap, m * k) / 127.0f;
-      // Activation rows are padded to the pair-layout's even reduction
-      // length; the pad column multiplies the all-zero pad row of B.
-      const size_t k_pad = (k + 1) & ~static_cast<size_t>(1);
-      thread_local std::vector<int8_t> qa;
-      thread_local std::vector<float> dq;
-      if (qa.size() < m * k_pad) qa.resize(m * k_pad);
-      if (dq.size() < n) dq.resize(n);
-      const float inv = a_scale > 0.0f ? 1.0f / a_scale : 0.0f;
-      if (k_pad == k) {
-        QuantizeSymmetric(ap, m * k, inv, qa.data());
-      } else {
-        for (size_t i = 0; i < m; ++i) {
-          QuantizeSymmetric(ap + i * k, k, inv, qa.data() + i * k_pad);
-          qa[i * k_pad + k] = 0;
-        }
-      }
-      for (size_t j = 0; j < n; ++j) dq[j] = a_scale * channel_scale_[j];
-      const int8_t* qap = qa.data();
-      const int8_t* bp = int8_.data();
-      const float* dqp = dq.data();
-      ctx->ParallelFor(0, m, grain, [&](size_t i0, size_t i1) {
-        GemmInt8Rows(i0, i1, k_pad, n, qap, bp, dqp, biasp, epilogue, op, n);
-      });
-      return;
-    }
-  }
+  ctx->ParallelFor(0, m, RowGrain(2 * k * n), [&](size_t i0, size_t i1) {
+    GemmBlockedRows(i0, i1, k, n, ap, /*rsa=*/k, /*csa=*/1, pb, op, n, biasp,
+                    epilogue, /*accumulate=*/false);
+  });
 }
 
 }  // namespace prestroid

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "nn/dense.h"
@@ -10,6 +12,7 @@
 #include "tensor/execution_context.h"
 #include "tensor/kernels/gemm_kernels.h"
 #include "tensor/kernels/kernel_registry.h"
+#include "tensor/kernels/resident_weights.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 #include "util/random.h"
@@ -345,6 +348,102 @@ TEST(LayerParityTest, TreeConvBlockedBitIdenticalAcrossThreadCounts) {
     const Tensor& g4 = *p4[p].grad;
     for (size_t i = 0; i < g1.size(); ++i) ASSERT_EQ(g4[i], g1[i]);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Resident fp32 weight panels (the serving freeze, DESIGN.md §5.8)
+// ---------------------------------------------------------------------------
+
+TEST(ResidentWeightsTest, Fp32IsBitIdenticalToBlockedPath) {
+  Rng rng(21);
+  ExecutionContext ctx(1);
+  // The contract is against the blocked backend, whatever PRESTROID_KERNEL
+  // makes the process default.
+  Pin(&ctx, KernelBackend::kBlocked);
+  for (size_t m : {1, 8, 32}) {
+    for (size_t k : {7, 64}) {
+      for (size_t n : {5, 65}) {
+        const Tensor a = Tensor::Random({m, k}, &rng);
+        const Tensor b = Tensor::Random({k, n}, &rng);
+        const Tensor bias = Tensor::Random({n}, &rng);
+        Tensor want, got;
+        MatMulBiasInto(&want, a, b, bias, &ctx);
+        const ResidentWeights rw = ResidentWeights::Build(b);
+        rw.Gemm(&got, a, &bias, GemmEpilogue::kBias, &ctx);
+        ASSERT_EQ(got.shape(), want.shape());
+        for (size_t i = 0; i < want.size(); ++i) {
+          ASSERT_EQ(got[i], want[i]) << "element " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(ResidentWeightsTest, FrozenLayersMatchBlockedForwardBitForBit) {
+  const size_t batch = 5, nodes = 9, in_dim = 7, out_dim = 11, units = 3;
+  const TreeStructure structure = MakeTreeStructure(batch, nodes);
+  Rng rng_a(321), rng_b(321), data_rng(322);
+  TreeConvLayer live_conv(in_dim, out_dim, &rng_a);
+  Dense live_dense(out_dim, units, &rng_a);
+  TreeConvLayer frozen_conv(in_dim, out_dim, &rng_b);
+  Dense frozen_dense(out_dim, units, &rng_b);
+  ExecutionContext ctx(1);
+  Pin(&ctx, KernelBackend::kBlocked);
+  live_conv.set_context(&ctx);
+  frozen_conv.set_context(&ctx);
+  live_dense.set_context(&ctx);
+  frozen_dense.set_context(&ctx);
+  live_dense.SetTraining(false);
+  frozen_dense.SetTraining(false);
+  frozen_conv.FreezeWeights();
+  frozen_dense.FreezeWeights();
+  EXPECT_TRUE(frozen_conv.frozen());
+  EXPECT_GE(frozen_conv.resident_weight_bytes(),
+            3 * in_dim * out_dim * sizeof(float));
+  EXPECT_GE(frozen_dense.resident_weight_bytes(),
+            out_dim * units * sizeof(float));
+
+  const Tensor features = Tensor::Random({batch, nodes, in_dim}, &data_rng);
+  const Tensor& want_conv = live_conv.Forward(features, structure);
+  const Tensor& got_conv = frozen_conv.Forward(features, structure);
+  ASSERT_EQ(got_conv.shape(), want_conv.shape());
+  for (size_t i = 0; i < want_conv.size(); ++i) {
+    ASSERT_EQ(got_conv[i], want_conv[i]) << "conv element " << i;
+  }
+  const Tensor rows = Tensor::Random({batch, out_dim}, &data_rng);
+  const Tensor& want_dense = live_dense.Forward(rows);
+  const Tensor& got_dense = frozen_dense.Forward(rows);
+  for (size_t i = 0; i < want_dense.size(); ++i) {
+    ASSERT_EQ(got_dense[i], want_dense[i]) << "dense element " << i;
+  }
+
+  frozen_conv.ThawWeights();
+  EXPECT_FALSE(frozen_conv.frozen());
+  EXPECT_EQ(frozen_conv.resident_weight_bytes(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// KernelRegistry environment validation (fail-fast on typos)
+// ---------------------------------------------------------------------------
+
+TEST(KernelRegistryEnvTest, ValidateEnvAcceptsKnownAndUnsetValues) {
+  unsetenv("PRESTROID_KERNEL");
+  EXPECT_TRUE(KernelRegistry::ValidateEnv().ok());
+  setenv("PRESTROID_KERNEL", "scalar", 1);
+  EXPECT_TRUE(KernelRegistry::ValidateEnv().ok());
+  setenv("PRESTROID_KERNEL", "blocked", 1);
+  EXPECT_TRUE(KernelRegistry::ValidateEnv().ok());
+  unsetenv("PRESTROID_KERNEL");
+}
+
+TEST(KernelRegistryEnvTest, ValidateEnvRejectsTyposListingAcceptedSet) {
+  setenv("PRESTROID_KERNEL", "blokced", 1);
+  const Status status = KernelRegistry::ValidateEnv();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("blokced"), std::string::npos);
+  EXPECT_NE(status.message().find("scalar"), std::string::npos);
+  EXPECT_NE(status.message().find("blocked"), std::string::npos);
+  unsetenv("PRESTROID_KERNEL");
 }
 
 // ---------------------------------------------------------------------------

@@ -6,7 +6,11 @@
 ///   - the box memory budget denies admission and releases the quota charge;
 ///   - cross-shard hot-swaps are all-or-nothing (fault injection) and safe
 ///     under concurrent multi-tenant load (>= 10 swaps, run under TSan in CI);
-///   - ModelManager promotes/rolls back across every shard atomically.
+///   - ModelManager promotes/rolls back across every shard atomically;
+///   - a blocked-backend shard serves from frozen weight panels, bitwise
+///     equal to the direct pipeline across swaps and rollbacks, and hands
+///     its resident-weight charge back at Shutdown; a scalar one stays
+///     unfrozen.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +20,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/pipeline.h"
@@ -25,6 +30,7 @@
 #include "serve/plan_fingerprint.h"
 #include "serve/sharded_runtime.h"
 #include "serve/tenant_quota.h"
+#include "tensor/kernels/kernel_registry.h"
 #include "util/fault_injection.h"
 #include "workload/dataset.h"
 
@@ -240,6 +246,148 @@ TEST_F(ShardedRuntimeFixture, ShardedAnswersMatchSingleQueryReferences) {
                 1e-5 * std::max(1.0, std::fabs(reference[i])));
   }
   tier.runtime->Shutdown();
+}
+
+/// Loads the fixture artifact pinned to `gemm` / `tree_conv` backends;
+/// `scale` != 1 multiplies every parameter, giving a second, distinct model.
+std::unique_ptr<core::PrestroidPipeline> LoadPinned(
+    const std::string& path, KernelBackend gemm, KernelBackend tree_conv,
+    float scale = 1.0f) {
+  auto pipeline = core::PrestroidPipeline::LoadFile(path).ValueOrDie();
+  KernelRegistry* kernels = pipeline->execution_context()->mutable_kernels();
+  kernels->SetAllBackends(gemm);
+  kernels->SetBackend(KernelOp::kTreeConv, tree_conv);
+  if (scale != 1.0f) {
+    for (ParamRef& param : pipeline->model()->Params()) *param.value *= scale;
+  }
+  return pipeline;
+}
+
+/// How many of `pipeline`'s freezable layers hold resident panels, out of
+/// how many.
+std::pair<size_t, size_t> FrozenLayers(core::PrestroidPipeline& pipeline) {
+  std::vector<FreezableLayer*> layers;
+  pipeline.model()->CollectFreezableLayers(&layers);
+  size_t frozen = 0;
+  for (FreezableLayer* layer : layers) frozen += layer->frozen() ? 1 : 0;
+  return {frozen, layers.size()};
+}
+
+/// Model-tier answers of a one-shard runtime for the first `count` plans.
+std::vector<double> ServeAll(ShardedServingRuntime& runtime,
+                             const std::vector<workload::QueryRecord>& records,
+                             size_t count) {
+  std::vector<std::future<cost::ServingEstimate>> futures;
+  for (size_t i = 0; i < count; ++i) {
+    futures.push_back(runtime.Submit(*records[i].plan, 1e9).ValueOrDie());
+  }
+  std::vector<double> answers;
+  for (auto& future : futures) {
+    const cost::ServingEstimate estimate = future.get();
+    EXPECT_EQ(estimate.tier, cost::ServingTier::kModel)
+        << estimate.degradation_reason.ToString();
+    answers.push_back(estimate.cpu_minutes);
+  }
+  return answers;
+}
+
+/// Direct (never frozen) answers of `pipeline` for the first `count` plans.
+std::vector<double> DirectAnswers(
+    core::PrestroidPipeline& pipeline,
+    const std::vector<workload::QueryRecord>& records, size_t count) {
+  std::vector<double> answers;
+  for (size_t i = 0; i < count; ++i) {
+    answers.push_back(pipeline.PredictPlan(*records[i].plan).ValueOrDie());
+  }
+  return answers;
+}
+
+TEST_F(ShardedRuntimeFixture, FrozenShardIsBitIdenticalAcrossSwapsAndReleases) {
+  constexpr size_t kPlans = 16;
+  constexpr KernelBackend kBlocked = KernelBackend::kBlocked;
+  const std::vector<double> want_a = DirectAnswers(
+      *LoadPinned(*artifact_path_, kBlocked, kBlocked), *records_, kPlans);
+  const std::vector<double> want_b = DirectAnswers(
+      *LoadPinned(*artifact_path_, kBlocked, kBlocked, 1.25f), *records_,
+      kPlans);
+  ASSERT_NE(want_a, want_b);
+
+  auto estimator = std::make_unique<cost::ServingEstimator>();
+  ASSERT_TRUE(estimator->FitFallbacks(*records_).ok());
+  estimator->AttachPipeline(LoadPinned(*artifact_path_, kBlocked, kBlocked));
+  ShardedRuntimeConfig config;
+  config.shard.max_batch = 8;
+  ShardedServingRuntime runtime({estimator.get()}, config);
+  const ServingShard& shard = runtime.shard(0);
+  const size_t before = runtime.MemorySnapshot().in_use_bytes;
+  // While running, the tracker holds the resident panels plus the arena's
+  // retained blocks and nothing else once every request has resolved.
+  auto expect_charged = [&](const char* when) {
+    EXPECT_EQ(runtime.MemorySnapshot().in_use_bytes,
+              before + shard.resident_weight_bytes() +
+                  shard.arena_capacity_bytes())
+        << when;
+  };
+
+  const auto [frozen_before_start, layer_count] =
+      FrozenLayers(*estimator->pipeline());
+  EXPECT_EQ(frozen_before_start, 0u);
+  ASSERT_GT(layer_count, 0u);
+  const auto all_frozen = std::make_pair(layer_count, layer_count);
+  const auto none_frozen = std::make_pair(size_t{0}, layer_count);
+
+  ASSERT_TRUE(runtime.Start().ok());
+  const size_t resident = shard.resident_weight_bytes();
+  EXPECT_GT(resident, 0u);
+  EXPECT_EQ(FrozenLayers(*estimator->pipeline()), all_frozen);
+  EXPECT_EQ(ServeAll(runtime, *records_, kPlans), want_a);
+  expect_charged("after Start");
+
+  std::vector<std::unique_ptr<core::PrestroidPipeline>> incoming;
+  incoming.push_back(
+      LoadPinned(*artifact_path_, kBlocked, kBlocked, 1.25f));
+  auto previous =
+      runtime.SwapPipelines(std::move(incoming), /*is_rollback=*/false)
+          .ValueOrDie();
+  EXPECT_EQ(shard.resident_weight_bytes(), resident);
+  EXPECT_EQ(FrozenLayers(*estimator->pipeline()), all_frozen);
+  // The retained rollback target comes back thawed, i.e. trainable.
+  EXPECT_EQ(FrozenLayers(*previous[0]), none_frozen);
+  EXPECT_EQ(ServeAll(runtime, *records_, kPlans), want_b);
+  expect_charged("after swap");
+
+  runtime.SwapPipelines(std::move(previous), /*is_rollback=*/true)
+      .ValueOrDie();
+  EXPECT_EQ(shard.resident_weight_bytes(), resident);
+  EXPECT_EQ(FrozenLayers(*estimator->pipeline()), all_frozen);
+  EXPECT_EQ(ServeAll(runtime, *records_, kPlans), want_a);
+  expect_charged("after rollback");
+
+  runtime.Shutdown();
+  EXPECT_EQ(shard.resident_weight_bytes(), 0u);
+  EXPECT_EQ(FrozenLayers(*estimator->pipeline()), none_frozen);
+  EXPECT_EQ(runtime.MemorySnapshot().in_use_bytes,
+            before + shard.arena_capacity_bytes());
+}
+
+TEST_F(ShardedRuntimeFixture, ScalarBackendShardStaysUnfrozen) {
+  constexpr size_t kPlans = 8;
+  // Any scalar choice keeps the per-call reference path: all-scalar, and
+  // blocked GEMMs with the scalar tree convolution.
+  for (KernelBackend gemm : {KernelBackend::kScalar, KernelBackend::kBlocked}) {
+    const KernelBackend tree_conv = KernelBackend::kScalar;
+    const std::vector<double> want = DirectAnswers(
+        *LoadPinned(*artifact_path_, gemm, tree_conv), *records_, kPlans);
+    auto estimator = std::make_unique<cost::ServingEstimator>();
+    ASSERT_TRUE(estimator->FitFallbacks(*records_).ok());
+    estimator->AttachPipeline(LoadPinned(*artifact_path_, gemm, tree_conv));
+    ShardedServingRuntime runtime({estimator.get()}, ShardedRuntimeConfig{});
+    ASSERT_TRUE(runtime.Start().ok());
+    EXPECT_EQ(runtime.shard(0).resident_weight_bytes(), 0u);
+    EXPECT_EQ(FrozenLayers(*estimator->pipeline()).first, 0u);
+    EXPECT_EQ(ServeAll(runtime, *records_, kPlans), want);
+    runtime.Shutdown();
+  }
 }
 
 TEST_F(ShardedRuntimeFixture, OverQuotaTenantShedsWhileOthersServe) {
