@@ -10,8 +10,10 @@
 //
 // Invoked with --json <path>, times the scalar and blocked kernel backends
 // on model-shaped GEMMs and end-to-end tree-convolution forward+backward
-// (median-of-N with warmup) and writes the machine-readable records plus
-// geomean blocked-over-scalar speedups to <path> (BENCH_kernels.json).
+// (median-of-N with warmup), the resident-panel serving GEMMs, and the
+// Grab-shaped tree-convolution trunk over real against padded rows, and
+// writes the machine-readable records plus geomean speedups to <path>
+// (BENCH_kernels.json).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -22,8 +24,10 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "bench_json.h"
 #include "core/featurizer.h"
+#include "core/model_blocks.h"
 #include "embed/word2vec.h"
 #include "nn/tree_conv.h"
 #include "otp/otp_tree.h"
@@ -55,24 +59,33 @@ void BM_MatMul(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMul)->Arg(32)->Arg(128)->Arg(256);
 
+/// `trees` complete binary trees of `nodes` nodes each over `features`
+/// ([trees * nodes, dim]), in one flat batch.
+TreeBatch HeapTrees(const Tensor& features, size_t trees, size_t nodes) {
+  std::vector<int> left(nodes, -1), right(nodes, -1);
+  for (size_t i = 0; 2 * i + 2 < nodes; ++i) {
+    left[i] = static_cast<int>(2 * i + 1);
+    right[i] = static_cast<int>(2 * i + 2);
+  }
+  const std::vector<float> votes(nodes, 1.0f);
+  TreeBatch batch;
+  batch.Reset(trees * nodes, features.dim(1));
+  for (size_t b = 0; b < trees; ++b) {
+    batch.AddTree(features.data() + b * nodes * features.dim(1), nodes,
+                  left.data(), right.data(), votes.data());
+  }
+  return batch;
+}
+
 void BM_TreeConvForward(benchmark::State& state) {
   const size_t batch = 32, nodes = static_cast<size_t>(state.range(0));
   const size_t in_dim = 64, out_dim = 64;
   Rng rng(2);
   TreeConvLayer conv(in_dim, out_dim, &rng);
-  TreeStructure structure;
-  structure.left.assign(batch, std::vector<int>(nodes, -1));
-  structure.right.assign(batch, std::vector<int>(nodes, -1));
-  structure.mask.assign(batch, std::vector<float>(nodes, 1.0f));
-  for (size_t b = 0; b < batch; ++b) {
-    for (size_t i = 0; 2 * i + 2 < nodes; ++i) {
-      structure.left[b][i] = static_cast<int>(2 * i + 1);
-      structure.right[b][i] = static_cast<int>(2 * i + 2);
-    }
-  }
-  Tensor features = Tensor::Random({batch, nodes, in_dim}, &rng);
+  Tensor features = Tensor::Random({batch * nodes, in_dim}, &rng);
+  const TreeBatch trees = HeapTrees(features, batch, nodes);
   for (auto _ : state) {
-    Tensor out = conv.Forward(features, structure);
+    const Tensor& out = conv.Forward(features, trees);
     benchmark::DoNotOptimize(out.data());
   }
 }
@@ -82,15 +95,12 @@ void BM_TreeConvBackward(benchmark::State& state) {
   const size_t batch = 32, nodes = static_cast<size_t>(state.range(0));
   Rng rng(3);
   TreeConvLayer conv(64, 64, &rng);
-  TreeStructure structure;
-  structure.left.assign(batch, std::vector<int>(nodes, -1));
-  structure.right.assign(batch, std::vector<int>(nodes, -1));
-  structure.mask.assign(batch, std::vector<float>(nodes, 1.0f));
-  Tensor features = Tensor::Random({batch, nodes, 64}, &rng);
-  Tensor grad = Tensor::Random({batch, nodes, 64}, &rng);
-  conv.Forward(features, structure);
+  Tensor features = Tensor::Random({batch * nodes, 64}, &rng);
+  Tensor grad = Tensor::Random({batch * nodes, 64}, &rng);
+  const TreeBatch trees = HeapTrees(features, batch, nodes);
+  conv.Forward(features, trees);
   for (auto _ : state) {
-    Tensor gx = conv.Backward(grad);
+    const Tensor& gx = conv.Backward(grad);
     benchmark::DoNotOptimize(gx.data());
   }
 }
@@ -242,18 +252,9 @@ void RunScalingSweep() {
     const size_t batch = s[0], nodes = s[1], dim = s[2];
     Rng rng(2);
     TreeConvLayer conv(dim, dim, &rng);
-    TreeStructure structure;
-    structure.left.assign(batch, std::vector<int>(nodes, -1));
-    structure.right.assign(batch, std::vector<int>(nodes, -1));
-    structure.mask.assign(batch, std::vector<float>(nodes, 1.0f));
-    for (size_t b = 0; b < batch; ++b) {
-      for (size_t i = 0; 2 * i + 2 < nodes; ++i) {
-        structure.left[b][i] = static_cast<int>(2 * i + 1);
-        structure.right[b][i] = static_cast<int>(2 * i + 2);
-      }
-    }
-    const Tensor features = Tensor::Random({batch, nodes, dim}, &rng);
-    const Tensor grad = Tensor::Random({batch, nodes, dim}, &rng);
+    const Tensor features = Tensor::Random({batch * nodes, dim}, &rng);
+    const Tensor grad = Tensor::Random({batch * nodes, dim}, &rng);
+    const TreeBatch structure = HeapTrees(features, batch, nodes);
     double serial_ms = 0.0;
     for (size_t threads : ladder) {
       ExecutionContext ctx(threads);
@@ -288,13 +289,57 @@ void RunScalingSweep() {
 namespace {
 
 struct KernelBenchRecord {
-  std::string op;      // "gemm" | "tree_conv_fwd_bwd" | "serving_gemm"
-  std::string shape;   // "MxKxN" / "BATCHxNODESxDIM"
+  std::string op;      // "gemm" | "tree_conv_fwd_bwd" | "serving_gemm" |
+                       // "grab_trunk_b1_real_rows" | "..._padded_rows"
+  std::string shape;   // "MxKxN" / "BATCHxNODESxDIM" / "F..-C..-N..-K.."
   std::string kernel;  // "scalar" | "blocked" | "resident"
   size_t threads = 1;
   double ns_per_iter = 0.0;
   double gflops = 0.0;
+  double rows_per_plan = 0.0;  // grab_trunk records only
 };
+
+/// Node features, tree-local children and votes of the first K Algorithm 1
+/// sub-trees of every plan in `records` (random node features of width
+/// `dim`; the blocked kernels do the same work for any values). With
+/// `padded`, every sub-tree is widened to N rows (zero features, no
+/// children, vote 0) and missing sub-trees become all-padding trees: the
+/// [K, N, F] layout the padded tensor had.
+std::vector<std::vector<core::TreeFeatures>> GrabSubtrees(
+    const std::vector<workload::QueryRecord>& records, size_t dim, size_t k,
+    bool padded) {
+  subtree::SubtreeSamplerConfig sampler;  // N = 15, C = 3
+  const size_t n = sampler.node_limit;
+  Rng rng(4);
+  std::vector<std::vector<core::TreeFeatures>> plans;
+  for (const workload::QueryRecord& record : records) {
+    const otp::OtpTree tree = otp::RecastPlan(*record.plan).ValueOrDie();
+    const std::vector<subtree::SubtreeSample> samples =
+        subtree::SampleSubtrees(*tree.root, sampler).ValueOrDie();
+    std::vector<core::TreeFeatures> trees;
+    for (size_t s = 0; s < (padded ? k : std::min(k, samples.size())); ++s) {
+      const size_t count = s < samples.size() ? samples[s].size() : 0;
+      const size_t rows = padded ? n : count;
+      core::TreeFeatures features;
+      features.features = Tensor({rows, dim});
+      features.left.assign(rows, -1);
+      features.right.assign(rows, -1);
+      features.votes.assign(rows, 0.0f);
+      for (size_t i = 0; i < count; ++i) {
+        for (size_t f = 0; f < dim; ++f) {
+          features.features.At(i, f) =
+              static_cast<float>(rng.Uniform(-1.0, 1.0));
+        }
+        features.left[i] = samples[s].left[i];
+        features.right[i] = samples[s].right[i];
+        features.votes[i] = samples[s].votes[i];
+      }
+      trees.push_back(std::move(features));
+    }
+    plans.push_back(std::move(trees));
+  }
+  return plans;
+}
 
 constexpr int kJsonReps = 5;    // timed runs per record (median taken)
 constexpr int kJsonWarmup = 1;  // untimed warm-up runs per record
@@ -387,18 +432,9 @@ int RunJsonBench(const std::string& path) {
     const size_t batch = s[0], nodes = s[1], dim = s[2];
     Rng rng(2);
     TreeConvLayer conv(dim, dim, &rng);
-    TreeStructure structure;
-    structure.left.assign(batch, std::vector<int>(nodes, -1));
-    structure.right.assign(batch, std::vector<int>(nodes, -1));
-    structure.mask.assign(batch, std::vector<float>(nodes, 1.0f));
-    for (size_t b = 0; b < batch; ++b) {
-      for (size_t i = 0; 2 * i + 2 < nodes; ++i) {
-        structure.left[b][i] = static_cast<int>(2 * i + 1);
-        structure.right[b][i] = static_cast<int>(2 * i + 2);
-      }
-    }
-    const Tensor features = Tensor::Random({batch, nodes, dim}, &rng);
-    const Tensor grad = Tensor::Random({batch, nodes, dim}, &rng);
+    const Tensor features = Tensor::Random({batch * nodes, dim}, &rng);
+    const Tensor grad = Tensor::Random({batch * nodes, dim}, &rng);
+    const TreeBatch structure = HeapTrees(features, batch, nodes);
     const double flops =
         3.0 * 2.0 * static_cast<double>(batch * nodes) * (3.0 * dim) * dim;
     for (KernelBackend backend : backends) {
@@ -472,6 +508,92 @@ int RunJsonBench(const std::string& path) {
               << " vs blocked)\n";
     records.push_back(std::move(rec));
   }
+  // The tree-convolution trunk at the perfbench serving model's Grab shapes
+  // (F = 125 node features, 3 x 32 convolutions, N = 15, K = 9), one plan
+  // per forward as a direct PredictPlan runs it, over the Algorithm 1
+  // sub-trees of the Grab-like bench trace: the flat batch of real rows
+  // against the same trees padded to N rows and K sub-trees, through the
+  // same kernels, per-call packed ("blocked") and frozen ("resident").
+  {
+    constexpr size_t kDim = 125, kChannels = 32, kSubtrees = 9;
+    const bench::BenchDataset data =
+        bench::BuildGrabDataset(bench::GetBenchScale());
+    const auto real = GrabSubtrees(data.records, kDim, kSubtrees, false);
+    const auto padded = GrabSubtrees(data.records, kDim, kSubtrees, true);
+    Rng rng(5);
+    core::TreeConvStack stack(kDim, {kChannels, kChannels, kChannels}, &rng);
+    std::vector<FreezableLayer*> layers;
+    stack.CollectFreezableLayers(&layers);
+    MaskedDynamicPooling pooling;
+    TreeBatch batch;
+    std::vector<const core::TreeFeatures*> slots;
+    const std::string shape = StrFormat("F%zu-C%zux3-N15-K%zu", kDim,
+                                        kChannels, kSubtrees);
+    for (const char* kernel : {"blocked", "resident"}) {
+      ExecutionContext ctx(threads);
+      ctx.mutable_kernels()->SetAllBackends(KernelBackend::kBlocked);
+      stack.BindContext(&ctx);
+      pooling.set_context(&ctx);
+      for (FreezableLayer* layer : layers) {
+        if (std::string(kernel) == "resident") {
+          layer->FreezeWeights();
+        } else {
+          layer->ThawWeights();
+        }
+      }
+      for (const auto* plans : {&real, &padded}) {
+        size_t rows = 0;
+        auto forward_all = [&] {
+          rows = 0;
+          for (const std::vector<core::TreeFeatures>& trees : *plans) {
+            slots.assign(kSubtrees, nullptr);
+            for (size_t s = 0; s < trees.size(); ++s) slots[s] = &trees[s];
+            core::AssembleTreeBatch(slots, kDim, &batch);
+            rows += batch.num_rows();
+            benchmark::DoNotOptimize(
+                pooling.Forward(stack.Forward(batch), batch).data());
+          }
+        };
+        ctx.ResetStats();
+        forward_all();
+        const double count = static_cast<double>(plans->size());
+        const double flops = static_cast<double>(ctx.stats().flops) / count;
+        KernelBenchRecord rec;
+        rec.op = plans == &real ? "grab_trunk_b1_real_rows"
+                                : "grab_trunk_b1_padded_rows";
+        rec.shape = shape;
+        rec.kernel = kernel;
+        rec.threads = threads;
+        rec.rows_per_plan = static_cast<double>(rows) / count;
+        rec.ns_per_iter = MedianNs(forward_all) / count;
+        rec.gflops = flops / rec.ns_per_iter;
+        std::cout << rec.op << " " << shape << " " << kernel << ": "
+                  << StrFormat("%.1f rows/plan, %.0f ns/plan",
+                               rec.rows_per_plan, rec.ns_per_iter)
+                  << "\n";
+        records.push_back(std::move(rec));
+      }
+    }
+  }
+  double trunk_rows_ratio = 0.0, trunk_log_speedup = 0.0;
+  size_t trunk_pairs = 0;
+  for (const KernelBenchRecord& fast : records) {
+    if (fast.op != "grab_trunk_b1_real_rows") continue;
+    for (const KernelBenchRecord& base : records) {
+      if (base.op != "grab_trunk_b1_padded_rows" ||
+          base.kernel != fast.kernel) {
+        continue;
+      }
+      trunk_rows_ratio = fast.rows_per_plan / base.rows_per_plan;
+      trunk_log_speedup += std::log(base.ns_per_iter / fast.ns_per_iter);
+      ++trunk_pairs;
+    }
+  }
+  const double trunk_speedup =
+      trunk_pairs == 0
+          ? 0.0
+          : std::exp(trunk_log_speedup / static_cast<double>(trunk_pairs));
+
   const double gemm_speedup =
       GeomeanSpeedup(records, "gemm", "scalar", "blocked");
   const double conv_speedup =
@@ -501,6 +623,9 @@ int RunJsonBench(const std::string& path) {
       json.Field("threads", r.threads);
       json.FieldDouble("gflops", r.gflops);
       json.FieldDouble("ns_per_iter", r.ns_per_iter, "%.1f");
+      if (r.rows_per_plan > 0.0) {
+        json.FieldDouble("rows_per_plan", r.rows_per_plan, "%.2f");
+      }
       json.EndObject();
     }
     json.EndArray();
@@ -511,6 +636,9 @@ int RunJsonBench(const std::string& path) {
                      conv_speedup);
     json.FieldDouble("serving_resident_geomean_speedup_over_blocked",
                      resident_speedup);
+    json.FieldDouble("grab_trunk_real_over_padded_rows", trunk_rows_ratio);
+    json.FieldDouble("grab_trunk_geomean_speedup_real_over_padded_rows",
+                     trunk_speedup);
     json.EndObject();
     json.EndObject();
   }
@@ -521,6 +649,10 @@ int RunJsonBench(const std::string& path) {
             << StrFormat("%.2fx", conv_speedup) << "\n";
   std::cout << "serving geomean speedup (resident/blocked): "
             << StrFormat("%.2fx", resident_speedup) << "\n";
+  std::cout << "grab trunk: real rows are "
+            << StrFormat("%.1f%%", 100.0 * trunk_rows_ratio)
+            << " of padded rows; geomean speedup (padded/real) "
+            << StrFormat("%.2fx", trunk_speedup) << "\n";
   std::cout << "wrote " << path << "\n";
   return 0;
 }

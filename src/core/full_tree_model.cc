@@ -1,6 +1,6 @@
 #include "core/full_tree_model.h"
 
-#include <cstring>
+#include <algorithm>
 
 #include "util/logging.h"
 
@@ -35,19 +35,6 @@ void FullTreeModel::Finalize() {
   finalized_ = true;
 }
 
-void FullTreeModel::StageSample(TreeFeatures tree) {
-  PRESTROID_CHECK(finalized_);
-  PRESTROID_CHECK_EQ(tree.features.dim(1), config_.feature_dim);
-  samples_.push_back(std::move(tree));
-  targets_.push_back(0.0f);
-}
-
-void FullTreeModel::PopSample() {
-  PRESTROID_CHECK(!samples_.empty());
-  samples_.pop_back();
-  targets_.pop_back();
-}
-
 void FullTreeModel::SetExecutionContext(ExecutionContext* ctx) {
   ctx_ = ctx;
   conv_->BindContext(ctx);
@@ -55,107 +42,55 @@ void FullTreeModel::SetExecutionContext(ExecutionContext* ctx) {
   head_->BindContext(ctx);
 }
 
-void FullTreeModel::AssembleBatch(const std::vector<size_t>& batch,
-                                  TreeStructure* structure,
-                                  Tensor* features_out) const {
-  PRESTROID_CHECK(finalized_);
-  const size_t b = batch.size();
-  // The dataset-wide padding size; staged inference samples may exceed it.
-  size_t n = max_nodes_;
-  for (size_t idx : batch) n = std::max(n, samples_[idx].num_nodes());
-  const size_t f = config_.feature_dim;
-  Tensor& features = *features_out;
-  features.ResetShape({b, n, f});
-  features.Fill(0.0f);  // padding slots must stay zero
-  structure->left.assign(b, std::vector<int>(n, -1));
-  structure->right.assign(b, std::vector<int>(n, -1));
-  structure->mask.assign(b, std::vector<float>(n, 0.0f));
-  for (size_t i = 0; i < b; ++i) {
-    const TreeFeatures& tree = samples_[batch[i]];
-    const size_t count = tree.num_nodes();
-    std::memcpy(features.data() + i * n * f, tree.features.data(),
-                sizeof(float) * count * f);
-    for (size_t node = 0; node < count; ++node) {
-      structure->left[i][node] = tree.left[node];
-      structure->right[i][node] = tree.right[node];
-      structure->mask[i][node] = tree.votes[node];
-    }
-  }
+std::vector<const TreeFeatures*> FullTreeModel::StoredTrees(
+    const std::vector<size_t>& indices) const {
+  std::vector<const TreeFeatures*> trees;
+  trees.reserve(indices.size());
+  for (size_t idx : indices) trees.push_back(&samples_[idx]);
+  return trees;
 }
 
-void FullTreeModel::AssembleBorrowed(
-    const std::vector<const TreeFeatures*>& samples, size_t start, size_t end,
-    TreeStructure* structure, Tensor* features_out) const {
+const Tensor& FullTreeModel::ForwardTrees(
+    const std::vector<const TreeFeatures*>& trees, size_t start, size_t end) {
   PRESTROID_CHECK(finalized_);
-  const size_t b = end - start;
-  // The dataset-wide padding size; borrowed inference trees may exceed it.
-  size_t n = max_nodes_;
-  for (size_t i = start; i < end; ++i) {
-    n = std::max(n, samples[i]->num_nodes());
-  }
-  const size_t f = config_.feature_dim;
-  Tensor& features = *features_out;
-  features.ResetShape({b, n, f});
-  features.Fill(0.0f);  // padding slots must stay zero
-  structure->left.assign(b, std::vector<int>(n, -1));
-  structure->right.assign(b, std::vector<int>(n, -1));
-  structure->mask.assign(b, std::vector<float>(n, 0.0f));
-  for (size_t i = 0; i < b; ++i) {
-    const TreeFeatures& tree = *samples[start + i];
-    PRESTROID_CHECK_EQ(tree.features.dim(1), f);
-    const size_t count = tree.num_nodes();
-    std::memcpy(features.data() + i * n * f, tree.features.data(),
-                sizeof(float) * count * f);
-    for (size_t node = 0; node < count; ++node) {
-      structure->left[i][node] = tree.left[node];
-      structure->right[i][node] = tree.right[node];
-      structure->mask[i][node] = tree.votes[node];
-    }
-  }
+  trees_ws_.assign(trees.begin() + static_cast<long>(start),
+                   trees.begin() + static_cast<long>(end));
+  AssembleTreeBatch(trees_ws_, config_.feature_dim, &batch_ws_);
+  const Tensor& conv_out = conv_->Forward(batch_ws_);
+  const Tensor& pooled = pooling_.Forward(conv_out, batch_ws_);  // [B, C]
+  return head_->Forward(pooled);
 }
 
 std::vector<float> FullTreeModel::PredictBorrowed(
     const std::vector<const TreeFeatures*>& samples) {
-  PRESTROID_CHECK(finalized_);
   head_->SetTraining(false);
   std::vector<float> out;
   out.reserve(samples.size());
   constexpr size_t kEvalBatch = 32;
   for (size_t start = 0; start < samples.size(); start += kEvalBatch) {
     const size_t end = std::min(samples.size(), start + kEvalBatch);
-    TreeStructure structure;
-    AssembleBorrowed(samples, start, end, &structure, &features_ws_);
-    const Tensor& pred = ForwardBatch(features_ws_, structure);
+    const Tensor& pred = ForwardTrees(samples, start, end);
     for (size_t i = 0; i < end - start; ++i) out.push_back(pred[i]);
   }
   head_->SetTraining(true);
   return out;
 }
 
-const Tensor& FullTreeModel::ForwardBatch(const Tensor& features,
-                                          const TreeStructure& structure) {
-  const Tensor& conv_out = conv_->Forward(features, structure);
-  const Tensor& pooled = pooling_.Forward(conv_out, structure);  // [B, C]
-  return head_->Forward(pooled);
-}
-
 double FullTreeModel::TrainEpoch(const std::vector<size_t>& indices,
                                  size_t batch_size) {
-  PRESTROID_CHECK(finalized_);
   PRESTROID_CHECK_GT(batch_size, 0u);
   head_->SetTraining(true);
+  const std::vector<const TreeFeatures*> trees = StoredTrees(indices);
   double total_loss = 0.0;
   size_t num_batches = 0;
   for (size_t start = 0; start < indices.size(); start += batch_size) {
     const size_t end = std::min(indices.size(), start + batch_size);
-    std::vector<size_t> batch(indices.begin() + static_cast<long>(start),
-                              indices.begin() + static_cast<long>(end));
-    TreeStructure structure;
-    AssembleBatch(batch, &structure, &features_ws_);
-    const Tensor& pred = ForwardBatch(features_ws_, structure);
+    const Tensor& pred = ForwardTrees(trees, start, end);
 
-    target_ws_.ResetShape({batch.size(), 1});
-    for (size_t i = 0; i < batch.size(); ++i) target_ws_[i] = targets_[batch[i]];
+    target_ws_.ResetShape({end - start, 1});
+    for (size_t i = start; i < end; ++i) {
+      target_ws_[i - start] = targets_[indices[i]];
+    }
 
     optimizer_->ZeroGrad();
     total_loss += loss_.Compute(pred, target_ws_);
@@ -171,22 +106,7 @@ double FullTreeModel::TrainEpoch(const std::vector<size_t>& indices,
 }
 
 std::vector<float> FullTreeModel::Predict(const std::vector<size_t>& indices) {
-  PRESTROID_CHECK(finalized_);
-  head_->SetTraining(false);
-  std::vector<float> out;
-  out.reserve(indices.size());
-  constexpr size_t kEvalBatch = 32;
-  for (size_t start = 0; start < indices.size(); start += kEvalBatch) {
-    const size_t end = std::min(indices.size(), start + kEvalBatch);
-    std::vector<size_t> batch(indices.begin() + static_cast<long>(start),
-                              indices.begin() + static_cast<long>(end));
-    TreeStructure structure;
-    AssembleBatch(batch, &structure, &features_ws_);
-    const Tensor& pred = ForwardBatch(features_ws_, structure);
-    for (size_t i = 0; i < batch.size(); ++i) out.push_back(pred[i]);
-  }
-  head_->SetTraining(true);
-  return out;
+  return PredictBorrowed(StoredTrees(indices));
 }
 
 size_t FullTreeModel::NumParameters() const {

@@ -27,10 +27,12 @@ struct FullTreeModelConfig {
   std::string name = "Prestroid-Full";
 };
 
-/// Tree convolution over the complete, unpruned O-T-P tree. Every batch is
-/// 0-padded to the size of the LARGEST tree in the dataset (the paper's
-/// padding regime for full-tree models, Section 5.4) — which is exactly the
+/// Tree convolution over the complete, unpruned O-T-P tree. In the paper
+/// every batch is 0-padded to the size of the LARGEST tree in the dataset
+/// (the padding regime for full-tree models, Section 5.4) — exactly the
 /// memory-footprint pathology Prestroid's sub-trees eliminate.
+/// InputBytesPerBatch reports that padded footprint; the kernels themselves
+/// run on a flat TreeBatch of real node rows only.
 class FullTreeModel : public CostModel {
  public:
   explicit FullTreeModel(const FullTreeModelConfig& config);
@@ -47,17 +49,11 @@ class FullTreeModel : public CostModel {
     finalized_ = true;
   }
 
-  /// Adds a transient inference-only sample after finalization without
-  /// widening the dataset padding (batches containing it pad to its size if
-  /// it exceeds the dataset maximum).
-  void StageSample(TreeFeatures tree);
-  /// Removes the most recently added/staged sample.
-  void PopSample();
-
   /// Fused eval-mode forward over borrowed trees, read in place with no
-  /// staging copies and no mutation of the sample store. Identical results
-  /// to StageSample + Predict + PopSample (masked pooling makes padding
-  /// inert). This is the batched-serving hot path.
+  /// staging copies and no mutation of the sample store. Each tree is
+  /// convolved and pooled over its own rows only, so its answer does not
+  /// depend on what shares the batch, and trees larger than max_nodes()
+  /// need nothing special. This is the batched-serving hot path.
   std::vector<float> PredictBorrowed(
       const std::vector<const TreeFeatures*>& samples);
 
@@ -87,22 +83,22 @@ class FullTreeModel : public CostModel {
     head_->CollectFreezableLayers(out);
   }
 
-  /// Exact bytes of the padded input tensor for one batch (Figure 6 top):
-  /// batch * max_nodes * F * sizeof(float).
+  /// Bytes of the paper's padded input tensor for one batch (Figure 6 top):
+  /// batch * max_nodes * F * sizeof(float). The paper's footprint metric,
+  /// not what the kernels stage (real node rows only).
   size_t InputBytesPerBatch(size_t batch_size) const;
   size_t max_nodes() const { return max_nodes_; }
 
   const FullTreeModelConfig& config() const { return config_; }
 
  private:
-  void AssembleBatch(const std::vector<size_t>& batch, TreeStructure* structure,
-                     Tensor* features) const;
-  /// AssembleBatch over borrowed trees instead of stored samples.
-  void AssembleBorrowed(const std::vector<const TreeFeatures*>& samples,
-                        size_t start, size_t end, TreeStructure* structure,
-                        Tensor* features) const;
-  const Tensor& ForwardBatch(const Tensor& features,
-                             const TreeStructure& structure);
+  /// Eval- or train-mode forward over trees [start, end): packs them into
+  /// batch_ws_ and runs the trunk, pooling and head. Returns [end - start, 1].
+  const Tensor& ForwardTrees(const std::vector<const TreeFeatures*>& trees,
+                             size_t start, size_t end);
+  /// The stored samples at `indices`, as ForwardTrees input.
+  std::vector<const TreeFeatures*> StoredTrees(
+      const std::vector<size_t>& indices) const;
 
   FullTreeModelConfig config_;
   Rng rng_;
@@ -118,9 +114,10 @@ class FullTreeModel : public CostModel {
   size_t max_nodes_ = 0;
   bool finalized_ = false;
   // Per-batch workspaces reused across batches.
-  Tensor features_ws_;  // [B, N, F]
-  Tensor target_ws_;    // [B, 1]
-  Tensor grad_ws_;      // [B, 1]
+  TreeBatch batch_ws_;                         // B trees, real rows only
+  std::vector<const TreeFeatures*> trees_ws_;  // [B]
+  Tensor target_ws_;                           // [B, 1]
+  Tensor grad_ws_;                             // [B, 1]
 };
 
 }  // namespace prestroid::core

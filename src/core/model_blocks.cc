@@ -10,34 +10,25 @@ TreeConvStack::TreeConvStack(size_t input_dim,
   size_t in = input_dim;
   for (size_t out : channels) {
     convs_.push_back(std::make_unique<TreeConvLayer>(in, out, rng));
-    relus_.push_back(std::make_unique<ReluLayer>());
     in = out;
   }
   output_dim_ = in;
 }
 
-const Tensor& TreeConvStack::Forward(const Tensor& features,
-                                     const TreeStructure& structure) {
-  const Tensor* x = &features;
-  for (size_t i = 0; i < convs_.size(); ++i) {
-    x = &convs_[i]->Forward(*x, structure);
-    x = &relus_[i]->Forward(*x);
-  }
+const Tensor& TreeConvStack::Forward(const TreeBatch& batch) {
+  const Tensor* x = &batch.features;
+  for (auto& conv : convs_) x = &conv->Forward(*x, batch);
   return *x;
 }
 
 const Tensor& TreeConvStack::Backward(const Tensor& grad_output) {
   const Tensor* grad = &grad_output;
-  for (size_t i = convs_.size(); i-- > 0;) {
-    grad = &relus_[i]->Backward(*grad);
-    grad = &convs_[i]->Backward(*grad);
-  }
+  for (size_t i = convs_.size(); i-- > 0;) grad = &convs_[i]->Backward(*grad);
   return *grad;
 }
 
 void TreeConvStack::BindContext(ExecutionContext* ctx) {
   for (auto& conv : convs_) conv->set_context(ctx);
-  for (auto& relu : relus_) relu->set_context(ctx);
 }
 
 std::vector<ParamRef> TreeConvStack::Params() {
@@ -57,6 +48,25 @@ size_t TreeConvStack::NumParameters() {
 void TreeConvStack::CollectFreezableLayers(
     std::vector<FreezableLayer*>* out) {
   for (auto& conv : convs_) out->push_back(conv.get());
+}
+
+void AssembleTreeBatch(const std::vector<const TreeFeatures*>& trees,
+                       size_t feature_dim, TreeBatch* batch) {
+  size_t rows = 0;
+  for (const TreeFeatures* tree : trees) {
+    if (tree != nullptr) rows += tree->num_nodes();
+  }
+  batch->Reset(rows, feature_dim);
+  for (const TreeFeatures* tree : trees) {
+    if (tree == nullptr) {
+      batch->AddTree(nullptr, 0, nullptr, nullptr, nullptr);
+      continue;
+    }
+    const size_t count = tree->num_nodes();
+    if (count > 0) PRESTROID_CHECK_EQ(tree->features.dim(1), feature_dim);
+    batch->AddTree(tree->features.data(), count, tree->left.data(),
+                   tree->right.data(), tree->votes.data());
+  }
 }
 
 DenseHead::DenseHead(const DenseHeadConfig& config, Rng* rng) {

@@ -4,6 +4,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/featurizer.h"
 #include "nn/activations.h"
 #include "nn/batch_norm.h"
 #include "nn/dense.h"
@@ -13,8 +14,8 @@
 
 namespace prestroid::core {
 
-/// Stack of tree-convolution layers with ReLU between them — the shared
-/// convolution trunk of the Prestroid sub-tree and full-tree models
+/// Stack of tree-convolution layers, each with its ReLU fused in — the
+/// shared convolution trunk of the Prestroid sub-tree and full-tree models
 /// (3 x 512 kernels for Grab-Traces, 3 x 128 for TPC-DS; Section 5.2).
 ///
 /// Forward/Backward return references into the last layer's workspace (see
@@ -28,8 +29,9 @@ class TreeConvStack {
   TreeConvStack(const TreeConvStack&) = delete;
   TreeConvStack& operator=(const TreeConvStack&) = delete;
 
-  /// [batch, nodes, input_dim] -> [batch, nodes, channels.back()].
-  const Tensor& Forward(const Tensor& features, const TreeStructure& structure);
+  /// batch.features [rows, input_dim] -> [rows, channels.back()]. The batch
+  /// must stay alive until Backward() completes.
+  const Tensor& Forward(const TreeBatch& batch);
   const Tensor& Backward(const Tensor& grad_output);
 
   /// Binds the execution context on every layer of the stack.
@@ -47,8 +49,14 @@ class TreeConvStack {
  private:
   size_t output_dim_;
   std::vector<std::unique_ptr<TreeConvLayer>> convs_;
-  std::vector<std::unique_ptr<ReluLayer>> relus_;
 };
+
+/// Packs `trees` into `batch` in order, one TreeBatch tree per entry; a null
+/// entry is a missing sub-tree (a tree with no rows, which pools to zero).
+/// Real node rows only: nothing is padded or zero-filled. This is the one
+/// batch assembly of both tree models, for training and inference alike.
+void AssembleTreeBatch(const std::vector<const TreeFeatures*>& trees,
+                       size_t feature_dim, TreeBatch* batch);
 
 /// Configuration of the dense regression head.
 struct DenseHeadConfig {

@@ -240,11 +240,14 @@ void PrestroidPipeline::ThawInferenceWeights() {
 
 TrainResult PrestroidPipeline::Train(const workload::DatasetSplits& splits,
                                      const TrainConfig& train_config) {
+  ThawInferenceWeights();
   std::vector<float> val_targets;
   val_targets.reserve(splits.val.size());
   for (size_t idx : splits.val) val_targets.push_back(targets_[idx]);
-  return TrainWithEarlyStopping(model(), splits.train, splits.val, val_targets,
-                                train_config);
+  TrainResult result = TrainWithEarlyStopping(
+      model(), splits.train, splits.val, val_targets, train_config);
+  FreezeInferenceWeights();
+  return result;
 }
 
 std::vector<double> PrestroidPipeline::PredictMinutes(

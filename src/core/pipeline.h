@@ -79,7 +79,9 @@ class PrestroidPipeline {
       const std::vector<size_t>& train_indices, const PipelineConfig& config);
 
   /// Trains the model with early stopping (validation monitored in
-  /// normalized space).
+  /// normalized space). Thaws the pipeline first and freezes it again when
+  /// training ends (see FreezeInferenceWeights), so scoring after Train()
+  /// runs on resident panels.
   TrainResult Train(const workload::DatasetSplits& splits,
                     const TrainConfig& train_config);
 
@@ -114,8 +116,10 @@ class PrestroidPipeline {
   /// both kGemm and kTreeConv; frozen forwards are bit-identical to that
   /// path. Under any scalar choice the model stays unfrozen, on the per-call
   /// reference path. Returns the resident bytes (0 when not frozen).
-  /// Training a frozen pipeline is forbidden (layer Backward CHECK-fails);
-  /// call ThawInferenceWeights() first.
+  /// Train() and LoadFile() call it on their way out, so direct scoring
+  /// (PredictPlan, PredictMinutes) never repacks weights per call. Training
+  /// the model directly while frozen is forbidden (layer Backward
+  /// CHECK-fails); Train() thaws first.
   size_t FreezeInferenceWeights();
   /// Drops any resident panels; forwards take the per-call path again.
   void ThawInferenceWeights();
@@ -139,7 +143,10 @@ class PrestroidPipeline {
   Status SaveFile(const std::string& path);
 
   /// Loads a pipeline saved by SaveFile. The result serves PredictPlan();
-  /// it carries no training samples, so Train() is not available on it.
+  /// it carries no training samples, so Train() is not available on it. It
+  /// comes back frozen (FreezeInferenceWeights) for the process-default
+  /// backend; a caller that changes the backends or the weights afterwards
+  /// must call FreezeInferenceWeights() or ThawInferenceWeights() again.
   static Result<std::unique_ptr<PrestroidPipeline>> LoadFile(
       const std::string& path);
 

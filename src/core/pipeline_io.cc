@@ -315,7 +315,10 @@ Result<std::unique_ptr<PrestroidPipeline>> PrestroidPipeline::LoadFile(
       return Status::DataCorruption("unsupported legacy pipeline version: " +
                                     version);
     }
-    return PipelineSerde::ParseLegacyV1(is);
+    PRESTROID_ASSIGN_OR_RETURN(std::unique_ptr<PrestroidPipeline> pipeline,
+                               PipelineSerde::ParseLegacyV1(is));
+    pipeline->FreezeInferenceWeights();
+    return pipeline;
   }
   if (bytes.rfind(kV2Magic, 0) != 0) {
     return Status::DataCorruption("not a Prestroid pipeline artifact: " + path);
@@ -348,6 +351,7 @@ Result<std::unique_ptr<PrestroidPipeline>> PrestroidPipeline::LoadFile(
       PipelineSerde::BuildModelSkeleton(pipeline.get(), full_max_nodes));
   std::istringstream model_is(model_section->payload);
   PRESTROID_RETURN_NOT_OK(PipelineSerde::ParseModel(model_is, pipeline.get()));
+  pipeline->FreezeInferenceWeights();
   return pipeline;
 }
 

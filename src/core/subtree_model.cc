@@ -1,6 +1,6 @@
 #include "core/subtree_model.h"
 
-#include <cstring>
+#include <algorithm>
 
 #include "util/logging.h"
 
@@ -62,73 +62,32 @@ void SubtreeModel::SetExecutionContext(ExecutionContext* ctx) {
   head_->BindContext(ctx);
 }
 
-void SubtreeModel::AssembleBatch(const std::vector<size_t>& batch,
-                                 TreeStructure* structure,
-                                 Tensor* features_out) const {
-  const size_t b = batch.size();
-  const size_t k = config_.num_subtrees;
-  const size_t n = config_.node_limit;
-  const size_t f = config_.feature_dim;
-
-  Tensor& features = *features_out;
-  features.ResetShape({b * k, n, f});
-  features.Fill(0.0f);  // padding slots must stay zero
-  structure->left.assign(b * k, std::vector<int>(n, -1));
-  structure->right.assign(b * k, std::vector<int>(n, -1));
-  structure->mask.assign(b * k, std::vector<float>(n, 0.0f));
-
-  for (size_t i = 0; i < b; ++i) {
-    const std::vector<TreeFeatures>& trees = samples_[batch[i]];
-    for (size_t s = 0; s < trees.size(); ++s) {
-      const TreeFeatures& tree = trees[s];
-      const size_t slot = i * k + s;
-      const size_t count = tree.num_nodes();
-      std::memcpy(features.data() + slot * n * f, tree.features.data(),
-                  sizeof(float) * count * f);
-      for (size_t node = 0; node < count; ++node) {
-        structure->left[slot][node] = tree.left[node];
-        structure->right[slot][node] = tree.right[node];
-        structure->mask[slot][node] = tree.votes[node];
-      }
-    }
-    // Missing sub-trees (trees.size() < K) keep all-zero masks: they pool to
-    // the zero vector, exactly like a fully 0-padded sub-tree slot.
-  }
+std::vector<const std::vector<TreeFeatures>*> SubtreeModel::StoredSamples(
+    const std::vector<size_t>& indices) const {
+  std::vector<const std::vector<TreeFeatures>*> samples;
+  samples.reserve(indices.size());
+  for (size_t idx : indices) samples.push_back(&samples_[idx]);
+  return samples;
 }
 
-void SubtreeModel::AssembleBorrowed(
+const Tensor& SubtreeModel::ForwardSamples(
     const std::vector<const std::vector<TreeFeatures>*>& samples, size_t start,
-    size_t end, TreeStructure* structure, Tensor* features_out) const {
+    size_t end) {
   const size_t b = end - start;
   const size_t k = config_.num_subtrees;
-  const size_t n = config_.node_limit;
-  const size_t f = config_.feature_dim;
-
-  Tensor& features = *features_out;
-  features.ResetShape({b * k, n, f});
-  features.Fill(0.0f);  // padding slots must stay zero
-  structure->left.assign(b * k, std::vector<int>(n, -1));
-  structure->right.assign(b * k, std::vector<int>(n, -1));
-  structure->mask.assign(b * k, std::vector<float>(n, 0.0f));
-
+  trees_ws_.assign(b * k, nullptr);
   for (size_t i = 0; i < b; ++i) {
     const std::vector<TreeFeatures>& trees = *samples[start + i];
     const size_t used = std::min(trees.size(), k);
-    for (size_t s = 0; s < used; ++s) {
-      const TreeFeatures& tree = trees[s];
-      PRESTROID_CHECK_LE(tree.num_nodes(), n);
-      PRESTROID_CHECK_EQ(tree.features.dim(1), f);
-      const size_t slot = i * k + s;
-      const size_t count = tree.num_nodes();
-      std::memcpy(features.data() + slot * n * f, tree.features.data(),
-                  sizeof(float) * count * f);
-      for (size_t node = 0; node < count; ++node) {
-        structure->left[slot][node] = tree.left[node];
-        structure->right[slot][node] = tree.right[node];
-        structure->mask[slot][node] = tree.votes[node];
-      }
-    }
+    for (size_t s = 0; s < used; ++s) trees_ws_[i * k + s] = &trees[s];
   }
+  AssembleTreeBatch(trees_ws_, config_.feature_dim, &batch_ws_);
+  const Tensor& conv_out = conv_->Forward(batch_ws_);
+  Tensor& pooled = pooling_.Forward(conv_out, batch_ws_);  // [B*K, C]
+  // Row-major [B*K, C] is bitwise identical to [B, K*C]: flattening across
+  // sub-trees is a pure relabeling of the pooling workspace.
+  pooled.ReshapeInPlace({b, k * conv_->output_dim()});
+  return head_->Forward(pooled);
 }
 
 std::vector<float> SubtreeModel::PredictBorrowed(
@@ -139,9 +98,7 @@ std::vector<float> SubtreeModel::PredictBorrowed(
   constexpr size_t kEvalBatch = 64;
   for (size_t start = 0; start < samples.size(); start += kEvalBatch) {
     const size_t end = std::min(samples.size(), start + kEvalBatch);
-    TreeStructure structure;
-    AssembleBorrowed(samples, start, end, &structure, &features_ws_);
-    const Tensor& pred = ForwardBatch(features_ws_, structure);
+    const Tensor& pred = ForwardSamples(samples, start, end);
     // CostModel convention: the first objective (total CPU time).
     for (size_t i = 0; i < end - start; ++i) {
       out.push_back(pred.At(i, 0));
@@ -151,37 +108,24 @@ std::vector<float> SubtreeModel::PredictBorrowed(
   return out;
 }
 
-const Tensor& SubtreeModel::ForwardBatch(const Tensor& features,
-                                         const TreeStructure& structure) {
-  const size_t bk = features.dim(0);
-  const size_t b = bk / config_.num_subtrees;
-  const Tensor& conv_out = conv_->Forward(features, structure);
-  Tensor& pooled = pooling_.Forward(conv_out, structure);  // [B*K, C]
-  // Row-major [B*K, C] is bitwise identical to [B, K*C]: flattening across
-  // sub-trees is a pure relabeling of the pooling workspace.
-  pooled.ReshapeInPlace({b, config_.num_subtrees * conv_->output_dim()});
-  return head_->Forward(pooled);
-}
-
 double SubtreeModel::TrainEpoch(const std::vector<size_t>& indices,
                                 size_t batch_size) {
   PRESTROID_CHECK_GT(batch_size, 0u);
   head_->SetTraining(true);
+  const std::vector<const std::vector<TreeFeatures>*> samples =
+      StoredSamples(indices);
   double total_loss = 0.0;
   size_t num_batches = 0;
   for (size_t start = 0; start < indices.size(); start += batch_size) {
     const size_t end = std::min(indices.size(), start + batch_size);
-    std::vector<size_t> batch(indices.begin() + static_cast<long>(start),
-                              indices.begin() + static_cast<long>(end));
-    TreeStructure structure;
-    AssembleBatch(batch, &structure, &features_ws_);
-    const Tensor& pred = ForwardBatch(features_ws_, structure);
+    const size_t b = end - start;
+    const Tensor& pred = ForwardSamples(samples, start, end);
 
     const size_t out = config_.output_dim;
-    target_ws_.ResetShape({batch.size(), out});
-    for (size_t i = 0; i < batch.size(); ++i) {
+    target_ws_.ResetShape({b, out});
+    for (size_t i = 0; i < b; ++i) {
       for (size_t j = 0; j < out; ++j) {
-        target_ws_[i * out + j] = targets_[batch[i] * out + j];
+        target_ws_[i * out + j] = targets_[indices[start + i] * out + j];
       }
     }
 
@@ -193,7 +137,7 @@ double SubtreeModel::TrainEpoch(const std::vector<size_t>& indices,
     const Tensor& grad_head = head_->Backward(grad_ws_);  // [B, K*C]
     grad_pooled_ws_.CopyFrom(grad_head);
     grad_pooled_ws_.ReshapeInPlace(
-        {batch.size() * config_.num_subtrees, conv_->output_dim()});
+        {b * config_.num_subtrees, conv_->output_dim()});
     const Tensor& grad_conv = pooling_.Backward(grad_pooled_ws_);
     conv_->Backward(grad_conv);
     optimizer_->Step();
@@ -205,15 +149,13 @@ Tensor SubtreeModel::PredictMulti(const std::vector<size_t>& indices) {
   head_->SetTraining(false);
   const size_t out_dim = config_.output_dim;
   Tensor out({indices.size(), out_dim});
+  const std::vector<const std::vector<TreeFeatures>*> samples =
+      StoredSamples(indices);
   constexpr size_t kEvalBatch = 64;
   for (size_t start = 0; start < indices.size(); start += kEvalBatch) {
     const size_t end = std::min(indices.size(), start + kEvalBatch);
-    std::vector<size_t> batch(indices.begin() + static_cast<long>(start),
-                              indices.begin() + static_cast<long>(end));
-    TreeStructure structure;
-    AssembleBatch(batch, &structure, &features_ws_);
-    const Tensor& pred = ForwardBatch(features_ws_, structure);
-    for (size_t i = 0; i < batch.size(); ++i) {
+    const Tensor& pred = ForwardSamples(samples, start, end);
+    for (size_t i = 0; i < end - start; ++i) {
       for (size_t j = 0; j < out_dim; ++j) {
         out.At(start + i, j) = pred.At(i, j);
       }

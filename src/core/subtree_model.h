@@ -42,7 +42,7 @@ class SubtreeModel : public CostModel {
   explicit SubtreeModel(const SubtreeModelConfig& config);
 
   /// Adds one featurized sample (the first K sub-trees from the Featurizer;
-  /// fewer are zero-padded) with its normalized target (output_dim must
+  /// missing ones pool to zero) with its normalized target (output_dim must
   /// be 1).
   void AddSample(std::vector<TreeFeatures> subtrees, float target);
 
@@ -91,25 +91,25 @@ class SubtreeModel : public CostModel {
     head_->CollectFreezableLayers(out);
   }
 
-  /// Exact bytes of the padded input tensor for one batch (Figure 6 top):
-  /// batch * K * N * F * sizeof(float).
+  /// Bytes of the paper's padded input tensor for one batch (Figure 6 top):
+  /// batch * K * N * F * sizeof(float). This is the paper's footprint
+  /// metric, not what the kernels stage: the flat TreeBatch holds real node
+  /// rows only.
   size_t InputBytesPerBatch(size_t batch_size) const;
 
   const SubtreeModelConfig& config() const { return config_; }
   const std::vector<float>& targets() const { return targets_; }
 
  private:
-  /// Assembles the padded [B*K, N, F] batch and its structure into the given
-  /// workspace tensor (allocation-free once warm).
-  void AssembleBatch(const std::vector<size_t>& batch, TreeStructure* structure,
-                     Tensor* features) const;
-  /// AssembleBatch over borrowed sub-tree sets instead of stored samples.
-  void AssembleBorrowed(
+  /// Eval- or train-mode forward over samples [start, end): packs each
+  /// sample's first K sub-trees (missing ones as empty trees) into batch_ws_
+  /// and runs the trunk, pooling and head. Returns [end - start, output_dim].
+  const Tensor& ForwardSamples(
       const std::vector<const std::vector<TreeFeatures>*>& samples,
-      size_t start, size_t end, TreeStructure* structure,
-      Tensor* features) const;
-  const Tensor& ForwardBatch(const Tensor& features,
-                             const TreeStructure& structure);
+      size_t start, size_t end);
+  /// The stored samples at `indices`, as ForwardSamples input.
+  std::vector<const std::vector<TreeFeatures>*> StoredSamples(
+      const std::vector<size_t>& indices) const;
 
   SubtreeModelConfig config_;
   Rng rng_;
@@ -123,10 +123,11 @@ class SubtreeModel : public CostModel {
   std::vector<std::vector<TreeFeatures>> samples_;
   std::vector<float> targets_;
   // Per-batch workspaces reused across batches.
-  Tensor features_ws_;     // [B*K, N, F]
-  Tensor target_ws_;       // [B, output_dim]
-  Tensor grad_ws_;         // [B, output_dim]
-  Tensor grad_pooled_ws_;  // [B*K, C]
+  TreeBatch batch_ws_;                         // B*K trees, real rows only
+  std::vector<const TreeFeatures*> trees_ws_;  // [B*K], null = missing
+  Tensor target_ws_;                           // [B, output_dim]
+  Tensor grad_ws_;                             // [B, output_dim]
+  Tensor grad_pooled_ws_;                      // [B*K, C]
 };
 
 }  // namespace prestroid::core

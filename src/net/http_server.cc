@@ -398,10 +398,14 @@ Status HttpServer::Run(int drain_fd) {
         ++stats_.connections_aborted;
         --stats_.connections_active;
       };
-      auto close_conn = [&]() {
+      // `idle` counts the close as an idle reap in the same locked section
+      // that drops connections_active, so no StatsSnapshot sees one without
+      // the other.
+      auto close_conn = [&](bool idle = false) {
         ::close(conn.fd);
         conn.fd = -1;
         std::lock_guard<std::mutex> lock(stats_mu_);
+        if (idle) ++stats_.idle_closes;
         --stats_.connections_active;
       };
 
@@ -456,11 +460,7 @@ Status HttpServer::Run(int drain_fd) {
           // Idle keep-alive reaping: nothing is buffered and nothing is
           // owed, so close silently — a 408 here would desynchronize a
           // client that is about to send its next request.
-          {
-            std::lock_guard<std::mutex> lock(stats_mu_);
-            ++stats_.idle_closes;
-          }
-          close_conn();
+          close_conn(/*idle=*/true);
           continue;
         }
       }

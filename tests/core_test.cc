@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <fstream>
+#include <utility>
+#include <vector>
 
 #include "core/featurizer.h"
 #include "core/full_tree_model.h"
@@ -9,6 +11,7 @@
 #include "core/metrics.h"
 #include "core/pipeline.h"
 #include "core/subtree_model.h"
+#include "tensor/kernels/kernel_registry.h"
 #include "workload/dataset.h"
 
 namespace prestroid::core {
@@ -273,6 +276,100 @@ TEST_F(PipelineFixture, SaveLoadRoundTripPreservesPredictions) {
   }
 }
 
+/// How many of `pipeline`'s freezable layers hold resident panels, out of
+/// how many.
+std::pair<size_t, size_t> FrozenLayers(PrestroidPipeline& pipeline) {
+  std::vector<FreezableLayer*> layers;
+  pipeline.model()->CollectFreezableLayers(&layers);
+  size_t frozen = 0;
+  for (FreezableLayer* layer : layers) frozen += layer->frozen() ? 1 : 0;
+  return {frozen, layers.size()};
+}
+
+/// PredictPlan answers of `pipeline` for the first `count` test plans.
+std::vector<double> PlanAnswers(PrestroidPipeline& pipeline,
+                                const std::vector<workload::QueryRecord>& records,
+                                const std::vector<size_t>& indices,
+                                size_t count) {
+  std::vector<double> answers;
+  for (size_t i = 0; i < count; ++i) {
+    answers.push_back(
+        pipeline.PredictPlan(*records[indices[i]].plan).ValueOrDie());
+  }
+  return answers;
+}
+
+/// A blocked pipeline must be frozen, and its answers bitwise equal to the
+/// same pipeline thawed (and refrozen); any other backend stays unfrozen.
+void ExpectFrozenAndBitwiseEqualToThawed(
+    PrestroidPipeline& pipeline,
+    const std::vector<workload::QueryRecord>& records,
+    const std::vector<size_t>& indices, const char* when) {
+  SCOPED_TRACE(when);
+  const KernelRegistry& kernels = pipeline.execution_context()->kernels();
+  const bool blocked =
+      kernels.backend(KernelOp::kGemm) == KernelBackend::kBlocked &&
+      kernels.backend(KernelOp::kTreeConv) == KernelBackend::kBlocked;
+  const auto [frozen, layers] = FrozenLayers(pipeline);
+  ASSERT_GT(layers, 0u);
+  EXPECT_EQ(frozen, blocked ? layers : 0u);
+  constexpr size_t kPlans = 8;
+  const std::vector<double> as_left = PlanAnswers(pipeline, records, indices,
+                                                  kPlans);
+  pipeline.ThawInferenceWeights();
+  EXPECT_EQ(FrozenLayers(pipeline).first, 0u);
+  EXPECT_EQ(PlanAnswers(pipeline, records, indices, kPlans), as_left);
+  EXPECT_EQ(pipeline.FreezeInferenceWeights() > 0, blocked);
+  EXPECT_EQ(PlanAnswers(pipeline, records, indices, kPlans), as_left);
+}
+
+TEST_F(PipelineFixture, TrainAndLoadLeaveBlockedPipelinesFrozen) {
+  TrainConfig train_config;
+  train_config.max_epochs = 2;
+  train_config.batch_size = 16;
+  for (bool subtrees : {true, false}) {
+    SCOPED_TRACE(subtrees ? "sub-tree model" : "full-tree model");
+    PipelineConfig config = SmallConfig(subtrees);
+    config.kernel = "blocked";
+    auto pipeline =
+        PrestroidPipeline::Fit(*records_, splits_->train, config).ValueOrDie();
+    EXPECT_EQ(FrozenLayers(*pipeline).first, 0u);  // Fit leaves it trainable
+    pipeline->Train(*splits_, train_config);
+    ExpectFrozenAndBitwiseEqualToThawed(*pipeline, *records_, splits_->test,
+                                        "after Train");
+
+    // Training a frozen pipeline thaws it first (a frozen Backward would
+    // CHECK-fail) and freezes it again at the end.
+    ASSERT_EQ(FrozenLayers(*pipeline).first, FrozenLayers(*pipeline).second);
+    const TrainResult again = pipeline->Train(*splits_, train_config);
+    EXPECT_EQ(again.epochs_run, train_config.max_epochs);
+    ExpectFrozenAndBitwiseEqualToThawed(*pipeline, *records_, splits_->test,
+                                        "after a second Train");
+
+    // LoadFile freezes for the process-default backend (PRESTROID_KERNEL).
+    const std::string path = ::testing::TempDir() + "/pipeline_frozen.bin";
+    ASSERT_TRUE(pipeline->SaveFile(path).ok());
+    auto loaded = PrestroidPipeline::LoadFile(path).ValueOrDie();
+    ExpectFrozenAndBitwiseEqualToThawed(*loaded, *records_, splits_->test,
+                                        "after LoadFile");
+  }
+}
+
+TEST_F(PipelineFixture, ScalarPipelineStaysUnfrozenAfterTrain) {
+  PipelineConfig config = SmallConfig(true);
+  config.kernel = "scalar";
+  auto pipeline =
+      PrestroidPipeline::Fit(*records_, splits_->train, config).ValueOrDie();
+  TrainConfig train_config;
+  train_config.max_epochs = 2;
+  train_config.batch_size = 16;
+  pipeline->Train(*splits_, train_config);
+  EXPECT_EQ(FrozenLayers(*pipeline).first, 0u);
+  EXPECT_EQ(pipeline->FreezeInferenceWeights(), 0u);
+  ExpectFrozenAndBitwiseEqualToThawed(*pipeline, *records_, splits_->test,
+                                      "scalar after Train");
+}
+
 TEST(PipelineIoTest, LoadRejectsGarbage) {
   const std::string path = ::testing::TempDir() + "/garbage_pipeline.txt";
   {
@@ -417,8 +514,42 @@ TEST(FullTreeModelTest, PaddingTracksLargestTree) {
   model.Finalize();
   EXPECT_EQ(model.max_nodes(), 9u);
   EXPECT_EQ(model.InputBytesPerBatch(32), 32u * 9 * 4 * sizeof(float));
-  // Training over mixed sizes works (padding in effect).
+  // Training over mixed sizes works (each tree runs on its own rows).
   EXPECT_NO_FATAL_FAILURE(model.TrainEpoch({0, 1, 2}, 2));
+}
+
+TEST(FullTreeModelTest, TreesLargerThanThePaddingSizeScoreIndependently) {
+  FullTreeModelConfig config;
+  config.feature_dim = 5;
+  config.conv_channels = {6, 6};
+  config.dense_units = {4};
+  config.dropout = 0.0f;
+  FullTreeModel model(config);
+  model.FinalizeEmpty(/*max_nodes=*/3);  // a loaded model's padding size
+  Rng rng(31);
+  std::vector<TreeFeatures> trees;
+  for (size_t n : {1u, 40u, 2u, 17u}) {  // two exceed max_nodes()
+    TreeFeatures tree;
+    tree.features = Tensor::Random({n, 5}, &rng);
+    tree.left.assign(n, -1);
+    tree.right.assign(n, -1);
+    for (size_t i = 1; i < n; ++i) {
+      // Heap shape: node i hangs under (i - 1) / 2.
+      ((i % 2 == 1) ? tree.left : tree.right)[(i - 1) / 2] =
+          static_cast<int>(i);
+    }
+    tree.votes.assign(n, 1.0f);
+    trees.push_back(std::move(tree));
+  }
+  std::vector<const TreeFeatures*> all;
+  for (const TreeFeatures& tree : trees) all.push_back(&tree);
+  const std::vector<float> batched = model.PredictBorrowed(all);
+  ASSERT_EQ(batched.size(), trees.size());
+  // A tree's answer does not depend on what shares its batch.
+  for (size_t i = 0; i < trees.size(); ++i) {
+    EXPECT_EQ(model.PredictBorrowed({&trees[i]})[0], batched[i]) << i;
+  }
+  EXPECT_EQ(model.max_nodes(), 3u);
 }
 
 }  // namespace

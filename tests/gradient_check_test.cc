@@ -124,19 +124,36 @@ TEST(GradientCheck, Conv1d) {
   CheckLayerGradients(&conv, Tensor::Random({2, 6, 3}, &rng), &rng);
 }
 
+/// Two trees in one flat batch — a 5-node tree and a 3-node left chain —
+/// with a missing (empty) tree between them, as a sub-tree batch has.
+TreeBatch TwoTreeBatch(const Tensor& features) {
+  TreeBatch batch;
+  batch.Reset(8, features.dim(1));
+  const int left_a[] = {1, 3, -1, -1, -1}, right_a[] = {2, 4, -1, -1, -1};
+  const float votes_a[] = {1, 1, 1, 1, 1};
+  batch.AddTree(features.data(), 5, left_a, right_a, votes_a);
+  batch.AddTree(nullptr, 0, nullptr, nullptr, nullptr);
+  const int left_b[] = {1, 2, -1}, right_b[] = {-1, -1, -1};
+  const float votes_b[] = {1, 1, 0};
+  batch.AddTree(features.data() + 5 * features.dim(1), 3, left_b, right_b,
+                votes_b);
+  return batch;
+}
+
 TEST(GradientCheck, TreeConv) {
   Rng rng(106);
   TreeConvLayer conv(3, 4, &rng);
-  // Two trees: a 5-node tree and a 3-node chain, padded to 5 slots.
-  TreeStructure structure;
-  structure.left = {{1, 3, -1, -1, -1}, {1, 2, -1, -1, -1}};
-  structure.right = {{2, 4, -1, -1, -1}, {-1, -1, -1, -1, -1}};
-  structure.mask = {{1, 1, 1, 1, 1}, {1, 1, 1, 0, 0}};
-  Tensor input = Tensor::Random({2, 5, 3}, &rng);
+  // A positive bias keeps most outputs away from the fused ReLU's kink, so
+  // central differences see a smooth function; clipped rows must get zero.
+  for (ParamRef& p : conv.Params()) {
+    if (p.name == "bias") p.value->Fill(0.5f);
+  }
+  Tensor input = Tensor::Random({8, 3}, &rng);
+  const TreeBatch batch = TwoTreeBatch(input);
 
-  Tensor seed = Tensor::Random({2, 5, 4}, &rng, 0.5f, 1.5f);
+  Tensor seed = Tensor::Random({8, 4}, &rng, 0.5f, 1.5f);
   auto loss_fn = [&](const Tensor& x) {
-    Tensor out = conv.Forward(x, structure);
+    Tensor out = conv.Forward(x, batch);
     double total = 0.0;
     for (size_t i = 0; i < out.size(); ++i) {
       total += static_cast<double>(seed[i]) * out[i];
@@ -145,7 +162,7 @@ TEST(GradientCheck, TreeConv) {
   };
 
   for (ParamRef& p : conv.Params()) p.grad->Fill(0.0f);
-  conv.Forward(input, structure);
+  conv.Forward(input, batch);
   Tensor grad_input = conv.Backward(seed);
 
   for (size_t i = 0; i < input.size(); i += 2) {
@@ -174,21 +191,21 @@ TEST(GradientCheck, TreeConv) {
 TEST(GradientCheck, MaskedDynamicPooling) {
   Rng rng(107);
   MaskedDynamicPooling pooling;
-  TreeStructure structure;
-  structure.left = {{-1, -1, -1}};
-  structure.right = {{-1, -1, -1}};
-  structure.mask = {{1, 1, 0}};
-  Tensor input = Tensor::Random({1, 3, 2}, &rng);
-  Tensor seed({1, 2}, {1.0f, 2.0f});
+  Tensor input = Tensor::Random({8, 2}, &rng);
+  const TreeBatch batch = TwoTreeBatch(input);
+  Tensor seed({3, 2}, {1.0f, 2.0f, 3.0f, 4.0f, 5.0f, 6.0f});
 
-  pooling.Forward(input, structure);
+  pooling.Forward(input, batch);
   Tensor grad = pooling.Backward(seed);
 
   auto loss_fn = [&](const Tensor& x) {
     MaskedDynamicPooling fresh;
-    Tensor out = fresh.Forward(x, structure);
-    return static_cast<double>(seed[0]) * out[0] +
-           static_cast<double>(seed[1]) * out[1];
+    Tensor out = fresh.Forward(x, batch);
+    double total = 0.0;
+    for (size_t i = 0; i < out.size(); ++i) {
+      total += static_cast<double>(seed[i]) * out[i];
+    }
+    return total;
   };
   for (size_t i = 0; i < input.size(); ++i) {
     Tensor plus = input, minus = input;

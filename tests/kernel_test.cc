@@ -274,28 +274,31 @@ TEST(LayerParityTest, DenseForwardBackwardAcrossBackends) {
   }
 }
 
-TreeStructure MakeTreeStructure(size_t batch, size_t nodes) {
-  TreeStructure s;
-  s.left.assign(batch, std::vector<int>(nodes, -1));
-  s.right.assign(batch, std::vector<int>(nodes, -1));
-  s.mask.assign(batch, std::vector<float>(nodes, 1.0f));
-  for (size_t b = 0; b < batch; ++b) {
+/// `trees` heap-shaped trees of `nodes` nodes each over `features`
+/// ([trees * nodes, dim]); some right children are left null so the
+/// zero-window path is covered.
+TreeBatch MakeTreeBatch(const Tensor& features, size_t trees, size_t nodes) {
+  TreeBatch batch;
+  batch.Reset(trees * nodes, features.dim(1));
+  for (size_t b = 0; b < trees; ++b) {
+    std::vector<int> left(nodes, -1), right(nodes, -1);
     for (size_t i = 0; 2 * i + 1 < nodes; ++i) {
-      s.left[b][i] = static_cast<int>(2 * i + 1);
-      // Leave some right children null so the zero-window path is covered.
+      left[i] = static_cast<int>(2 * i + 1);
       if (2 * i + 2 < nodes && (i + b) % 3 != 0) {
-        s.right[b][i] = static_cast<int>(2 * i + 2);
+        right[i] = static_cast<int>(2 * i + 2);
       }
     }
+    const std::vector<float> votes(nodes, 1.0f);
+    batch.AddTree(features.data() + b * nodes * features.dim(1), nodes,
+                  left.data(), right.data(), votes.data());
   }
-  return s;
+  return batch;
 }
 
 TEST(LayerParityTest, TreeConvForwardBackwardAcrossBackends) {
   for (size_t batch : {1, 5}) {
     for (size_t nodes : {1, 3, 9}) {
       const size_t in_dim = 7, out_dim = 11;
-      const TreeStructure structure = MakeTreeStructure(batch, nodes);
       Rng rng_a(301), rng_b(301), data_rng(302);
       TreeConvLayer scalar_layer(in_dim, out_dim, &rng_a);
       TreeConvLayer blocked_layer(in_dim, out_dim, &rng_b);
@@ -304,8 +307,9 @@ TEST(LayerParityTest, TreeConvForwardBackwardAcrossBackends) {
       Pin(&blocked, KernelBackend::kBlocked);
       scalar_layer.set_context(&scalar);
       blocked_layer.set_context(&blocked);
-      const Tensor features = Tensor::Random({batch, nodes, in_dim}, &data_rng);
-      const Tensor grad = Tensor::Random({batch, nodes, out_dim}, &data_rng);
+      const Tensor features = Tensor::Random({batch * nodes, in_dim}, &data_rng);
+      const Tensor grad = Tensor::Random({batch * nodes, out_dim}, &data_rng);
+      const TreeBatch structure = MakeTreeBatch(features, batch, nodes);
       ExpectAllClose(blocked_layer.Forward(features, structure),
                      scalar_layer.Forward(features, structure),
                      "tree-conv forward");
@@ -323,10 +327,10 @@ TEST(LayerParityTest, TreeConvForwardBackwardAcrossBackends) {
 
 TEST(LayerParityTest, TreeConvBlockedBitIdenticalAcrossThreadCounts) {
   const size_t batch = 9, nodes = 7, in_dim = 6, out_dim = 5;
-  const TreeStructure structure = MakeTreeStructure(batch, nodes);
   Rng data_rng(311);
-  const Tensor features = Tensor::Random({batch, nodes, in_dim}, &data_rng);
-  const Tensor grad = Tensor::Random({batch, nodes, out_dim}, &data_rng);
+  const Tensor features = Tensor::Random({batch * nodes, in_dim}, &data_rng);
+  const Tensor grad = Tensor::Random({batch * nodes, out_dim}, &data_rng);
+  const TreeBatch structure = MakeTreeBatch(features, batch, nodes);
   Rng rng_a(312), rng_b(312);
   TreeConvLayer one_layer(in_dim, out_dim, &rng_a);
   TreeConvLayer four_layer(in_dim, out_dim, &rng_b);
@@ -381,7 +385,6 @@ TEST(ResidentWeightsTest, Fp32IsBitIdenticalToBlockedPath) {
 
 TEST(ResidentWeightsTest, FrozenLayersMatchBlockedForwardBitForBit) {
   const size_t batch = 5, nodes = 9, in_dim = 7, out_dim = 11, units = 3;
-  const TreeStructure structure = MakeTreeStructure(batch, nodes);
   Rng rng_a(321), rng_b(321), data_rng(322);
   TreeConvLayer live_conv(in_dim, out_dim, &rng_a);
   Dense live_dense(out_dim, units, &rng_a);
@@ -403,7 +406,8 @@ TEST(ResidentWeightsTest, FrozenLayersMatchBlockedForwardBitForBit) {
   EXPECT_GE(frozen_dense.resident_weight_bytes(),
             out_dim * units * sizeof(float));
 
-  const Tensor features = Tensor::Random({batch, nodes, in_dim}, &data_rng);
+  const Tensor features = Tensor::Random({batch * nodes, in_dim}, &data_rng);
+  const TreeBatch structure = MakeTreeBatch(features, batch, nodes);
   const Tensor& want_conv = live_conv.Forward(features, structure);
   const Tensor& got_conv = frozen_conv.Forward(features, structure);
   ASSERT_EQ(got_conv.shape(), want_conv.shape());

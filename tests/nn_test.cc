@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
+#include <vector>
 
+#include "core/model_blocks.h"
 #include "nn/activations.h"
 #include "nn/batch_norm.h"
 #include "nn/conv1d.h"
@@ -13,6 +17,8 @@
 #include "nn/optimizer.h"
 #include "nn/trainer.h"
 #include "nn/tree_conv.h"
+#include "tensor/kernels/kernel_registry.h"
+#include "tensor/ops.h"
 #include "util/fault_injection.h"
 
 namespace prestroid {
@@ -174,22 +180,77 @@ TEST(EmbeddingTest, PaddingGetsNoGradient) {
   EXPECT_EQ(table_grad.At(2, 0), 1.0f);
 }
 
+/// A one-tree batch over `count` nodes with the given children and votes.
+TreeBatch OneTree(const Tensor& features, const std::vector<int>& left,
+                  const std::vector<int>& right,
+                  const std::vector<float>& votes) {
+  TreeBatch batch;
+  batch.Reset(left.size(), features.dim(1));
+  batch.AddTree(features.data(), left.size(), left.data(), right.data(),
+                votes.data());
+  return batch;
+}
+
+TEST(TreeBatchTest, ChildIndicesBecomeBatchGlobalRows) {
+  TreeBatch batch;
+  batch.Reset(4, 1);
+  const float a[] = {1, 2, 3};
+  const int left_a[] = {1, -1, -1}, right_a[] = {2, -1, -1};
+  const float votes_a[] = {1, 1, 0};
+  batch.AddTree(a, 3, left_a, right_a, votes_a);
+  batch.AddTree(nullptr, 0, nullptr, nullptr, nullptr);  // missing sub-tree
+  const float b[] = {4};
+  const int none[] = {-1};
+  const float vote_b[] = {1};
+  batch.AddTree(b, 1, none, none, vote_b);
+  EXPECT_EQ(batch.num_trees(), 3u);
+  EXPECT_EQ(batch.num_rows(), 4u);
+  EXPECT_EQ(batch.offsets, (std::vector<size_t>{0, 3, 3, 4}));
+  EXPECT_EQ(batch.left, (std::vector<int>{1, -1, -1, -1}));
+  EXPECT_EQ(batch.right, (std::vector<int>{2, -1, -1, -1}));
+  EXPECT_EQ(batch.votes, (std::vector<float>{1, 1, 0, 1}));
+  EXPECT_EQ(batch.features[3], 4.0f);
+}
+
+TEST(TreeBatchTest, BatchOfOnlyMissingTreesPoolsToZero) {
+  // A sample whose sub-trees are all missing: zero rows through the whole
+  // trunk, forward and backward, on either backend.
+  for (KernelBackend backend :
+       {KernelBackend::kScalar, KernelBackend::kBlocked}) {
+    ExecutionContext ctx(1);
+    ctx.mutable_kernels()->SetAllBackends(backend);
+    Rng rng(9);
+    TreeConvLayer conv(4, 3, &rng);
+    conv.set_context(&ctx);
+    MaskedDynamicPooling pooling;
+    pooling.set_context(&ctx);
+    TreeBatch batch;
+    batch.Reset(0, 4);
+    batch.AddTree(nullptr, 0, nullptr, nullptr, nullptr);
+    batch.AddTree(nullptr, 0, nullptr, nullptr, nullptr);
+    const Tensor& pooled =
+        pooling.Forward(conv.Forward(batch.features, batch), batch);
+    EXPECT_TRUE(pooled.AllClose(Tensor({2, 3})));
+    const Tensor& grad_rows = pooling.Backward(Tensor::Full({2, 3}, 1.0f));
+    EXPECT_EQ(conv.Backward(grad_rows).size(), 0u);
+    EXPECT_EQ(conv.Params()[0].grad->Sum(), 0.0f);
+  }
+}
+
 TEST(TreeConvTest, NullChildrenContributeNothing) {
   Rng rng(10);
   TreeConvLayer conv(2, 3, &rng);
-  TreeStructure structure;
-  structure.left = {{-1}};
-  structure.right = {{-1}};
-  structure.mask = {{1.0f}};
-  Tensor x({1, 1, 2}, {1.0f, 2.0f});
-  Tensor out = conv.Forward(x, structure);
-  // out = bias + x * w_self only.
-  Tensor expected({1, 1, 3});
+  Tensor x({1, 2}, {1.0f, 2.0f});
+  const TreeBatch batch = OneTree(x, {-1}, {-1}, {1.0f});
+  Tensor out = conv.Forward(x, batch);
+  // out = ReLU(bias + x * w_self) only.
+  Tensor expected({1, 3});
   auto params = conv.Params();
   Tensor& w_self = *params[0].value;
   Tensor& bias = *params[3].value;
   for (size_t o = 0; o < 3; ++o) {
-    expected.At(0, 0, o) = bias[o] + 1.0f * w_self.At(0, o) + 2.0f * w_self.At(1, o);
+    expected.At(0, o) = std::max(
+        0.0f, bias[o] + 1.0f * w_self.At(0, o) + 2.0f * w_self.At(1, o));
   }
   EXPECT_TRUE(out.AllClose(expected, 1e-5f));
 }
@@ -203,13 +264,33 @@ TEST(TreeConvTest, ChildrenRouteThroughCorrectWeights) {
   params[2].value->Fill(3.0f);  // w_right
   params[3].value->Fill(0.0f);  // bias
   // Tree: root(0) with left=1, right=2.
-  TreeStructure structure;
-  structure.left = {{1, -1, -1}};
-  structure.right = {{2, -1, -1}};
-  structure.mask = {{1, 1, 1}};
-  Tensor x({1, 3, 1}, {0.0f, 10.0f, 100.0f});
-  Tensor out = conv.Forward(x, structure);
-  EXPECT_NEAR(out.At(0, 0, 0), 2.0f * 10 + 3.0f * 100, 1e-4f);
+  Tensor x({3, 1}, {0.0f, 10.0f, 100.0f});
+  const TreeBatch batch = OneTree(x, {1, -1, -1}, {2, -1, -1}, {1, 1, 1});
+  Tensor out = conv.Forward(x, batch);
+  EXPECT_NEAR(out.At(0, 0), 2.0f * 10 + 3.0f * 100, 1e-4f);
+}
+
+TEST(TreeConvTest, ReluIsFusedAndMasksTheGradient) {
+  Rng rng(13);
+  TreeConvLayer conv(1, 1, &rng);
+  auto params = conv.Params();
+  params[0].value->Fill(1.0f);  // w_self
+  params[1].value->Fill(0.0f);
+  params[2].value->Fill(0.0f);
+  params[3].value->Fill(0.0f);
+  Tensor x({2, 1}, {-3.0f, 5.0f});
+  TreeBatch batch;
+  batch.Reset(2, 1);
+  const int none[] = {-1};
+  const float vote[] = {1};
+  batch.AddTree(x.data(), 1, none, none, vote);
+  batch.AddTree(x.data() + 1, 1, none, none, vote);
+  Tensor out = conv.Forward(x, batch);
+  EXPECT_EQ(out.At(0, 0), 0.0f);
+  EXPECT_EQ(out.At(1, 0), 5.0f);
+  Tensor gx = conv.Backward(Tensor({2, 1}, {1.0f, 1.0f}));
+  EXPECT_EQ(gx.At(0, 0), 0.0f);  // the clipped row passes no gradient
+  EXPECT_EQ(gx.At(1, 0), 1.0f);
 }
 
 TEST(TreeConvTest, ParamCountMatchesFormula) {
@@ -220,27 +301,250 @@ TEST(TreeConvTest, ParamCountMatchesFormula) {
 
 TEST(MaskedPoolingTest, RespectsVotes) {
   MaskedDynamicPooling pooling;
-  TreeStructure structure;
-  structure.left = {{-1, -1}};
-  structure.right = {{-1, -1}};
-  structure.mask = {{0.0f, 1.0f}};  // only node 1 votes
-  Tensor x({1, 2, 2}, {100, 100, 1, 2});
-  Tensor out = pooling.Forward(x, structure);
+  Tensor x({2, 2}, {100, 100, 1, 2});
+  const TreeBatch batch = OneTree(x, {-1, -1}, {-1, -1}, {0.0f, 1.0f});
+  Tensor out = pooling.Forward(x, batch);  // only node 1 votes
   EXPECT_TRUE(out.AllClose(Tensor({1, 2}, {1, 2})));
 }
 
-TEST(MaskedPoolingTest, AllMaskedPoolsToZero) {
+TEST(MaskedPoolingTest, AllMaskedAndMissingTreesPoolToZero) {
   MaskedDynamicPooling pooling;
-  TreeStructure structure;
-  structure.left = {{-1}};
-  structure.right = {{-1}};
-  structure.mask = {{0.0f}};
-  Tensor x({1, 1, 3}, {5, 6, 7});
-  Tensor out = pooling.Forward(x, structure);
-  EXPECT_TRUE(out.AllClose(Tensor({1, 3})));
+  Tensor x({1, 3}, {5, 6, 7});
+  TreeBatch batch;
+  batch.Reset(1, 3);
+  const int none[] = {-1};
+  const float zero_vote[] = {0.0f};
+  batch.AddTree(x.data(), 1, none, none, zero_vote);
+  batch.AddTree(nullptr, 0, nullptr, nullptr, nullptr);
+  Tensor out = pooling.Forward(x, batch);
+  EXPECT_TRUE(out.AllClose(Tensor({2, 3})));
   // Backward routes nothing.
-  Tensor grad = pooling.Backward(Tensor({1, 3}, {1, 1, 1}));
+  Tensor grad = pooling.Backward(Tensor({2, 3}, {1, 1, 1, 1, 1, 1}));
   EXPECT_EQ(grad.Sum(), 0.0f);
+}
+
+// ---------------------------------------------------------------------------
+// Property: the flat TreeBatch trunk + pooling is bitwise equal to the padded
+// layout it replaced, on both backends, frozen or not, at 1 and 4 threads.
+// ---------------------------------------------------------------------------
+
+/// Random binary tree of `n` nodes (local indices, -1 = no child). `shape`
+/// 0 = random, 1 = left-only chain.
+core::TreeFeatures RandomTree(size_t n, int shape, size_t feature_dim,
+                              bool zero_votes, Rng* rng) {
+  core::TreeFeatures tree;
+  tree.features = Tensor::Random({n, feature_dim}, rng, -1.0f, 1.0f);
+  // Sparse-ish one-hot blocks, as in real node encodings (the scalar kernel
+  // skips zero inputs, so zeros must be exercised).
+  for (size_t i = 0; i < tree.features.size(); ++i) {
+    if (rng->NextUint64(3) == 0) tree.features[i] = 0.0f;
+  }
+  tree.left.assign(n, -1);
+  tree.right.assign(n, -1);
+  for (size_t i = 1; i < n; ++i) {
+    if (shape == 1) {
+      tree.left[i - 1] = static_cast<int>(i);
+      continue;
+    }
+    while (true) {
+      const size_t parent = rng->NextUint64(i);
+      std::vector<int>& side = rng->NextUint64(2) == 0 ? tree.left : tree.right;
+      if (side[parent] < 0) {
+        side[parent] = static_cast<int>(i);
+        break;
+      }
+    }
+  }
+  tree.votes.assign(n, 1.0f);
+  for (size_t i = 0; i < n; ++i) {
+    if (zero_votes || rng->NextUint64(4) == 0) tree.votes[i] = 0.0f;
+  }
+  return tree;
+}
+
+/// The padded reference: every tree in `slots` (null = missing) occupies
+/// `pad` node slots; padding slots are zero features, no children, vote 0.
+/// Each layer is the historical padded TreeConv followed by a separate ReLU
+/// pass; pooling is the historical slot-by-slot masked max.
+Tensor PaddedReference(const std::vector<const core::TreeFeatures*>& slots,
+                       size_t pad, size_t feature_dim,
+                       const std::vector<ParamRef>& params, size_t channels,
+                       size_t layers, KernelBackend backend) {
+  const size_t trees = slots.size();
+  std::vector<int> left(trees * pad, -1), right(trees * pad, -1);
+  std::vector<float> mask(trees * pad, 0.0f);
+  Tensor x({trees * pad, feature_dim});
+  for (size_t t = 0; t < trees; ++t) {
+    if (slots[t] == nullptr) continue;
+    const core::TreeFeatures& tree = *slots[t];
+    for (size_t n = 0; n < tree.num_nodes(); ++n) {
+      left[t * pad + n] = tree.left[n];
+      right[t * pad + n] = tree.right[n];
+      mask[t * pad + n] = tree.votes[n];
+      for (size_t f = 0; f < feature_dim; ++f) {
+        x.At(t * pad + n, f) = tree.features.At(n, f);
+      }
+    }
+  }
+  ExecutionContext ctx(1);
+  ctx.mutable_kernels()->SetAllBackends(backend);
+  size_t in = feature_dim;
+  for (size_t layer = 0; layer < layers; ++layer) {
+    const Tensor& ws = *params[4 * layer].value;
+    const Tensor& wl = *params[4 * layer + 1].value;
+    const Tensor& wr = *params[4 * layer + 2].value;
+    const Tensor& bias = *params[4 * layer + 3].value;
+    Tensor y({trees * pad, channels});
+    if (backend == KernelBackend::kScalar) {
+      auto accumulate = [&](const float* x_row, const Tensor& w, float* out) {
+        for (size_t i = 0; i < in; ++i) {
+          if (x_row[i] == 0.0f) continue;
+          for (size_t o = 0; o < channels; ++o) out[o] += x_row[i] * w.At(i, o);
+        }
+      };
+      for (size_t t = 0; t < trees; ++t) {
+        for (size_t n = 0; n < pad; ++n) {
+          float* out = y.data() + (t * pad + n) * channels;
+          for (size_t o = 0; o < channels; ++o) out[o] = bias[o];
+          accumulate(x.data() + (t * pad + n) * in, ws, out);
+          const int l = left[t * pad + n], r = right[t * pad + n];
+          if (l >= 0) accumulate(x.data() + (t * pad + l) * in, wl, out);
+          if (r >= 0) accumulate(x.data() + (t * pad + r) * in, wr, out);
+        }
+      }
+    } else {
+      Tensor windows({trees * pad, 3 * in});
+      Tensor wcat({3 * in, channels});
+      for (size_t i = 0; i < in; ++i) {
+        for (size_t o = 0; o < channels; ++o) {
+          wcat.At(i, o) = ws.At(i, o);
+          wcat.At(in + i, o) = wl.At(i, o);
+          wcat.At(2 * in + i, o) = wr.At(i, o);
+        }
+      }
+      for (size_t t = 0; t < trees; ++t) {
+        for (size_t n = 0; n < pad; ++n) {
+          const size_t row = t * pad + n;
+          const int l = left[row], r = right[row];
+          for (size_t i = 0; i < in; ++i) {
+            windows.At(row, i) = x.At(row, i);
+            if (l >= 0) windows.At(row, in + i) = x.At(t * pad + l, i);
+            if (r >= 0) windows.At(row, 2 * in + i) = x.At(t * pad + r, i);
+          }
+        }
+      }
+      MatMulBiasInto(&y, windows, wcat, bias, &ctx);
+    }
+    ReluInto(&y, y, &ctx);
+    x = y;
+    in = channels;
+  }
+  Tensor pooled({trees, channels});
+  for (size_t t = 0; t < trees; ++t) {
+    for (size_t d = 0; d < channels; ++d) {
+      float best = -std::numeric_limits<float>::infinity();
+      bool any = false;
+      for (size_t n = 0; n < pad; ++n) {
+        if (mask[t * pad + n] == 0.0f) continue;
+        if (x.At(t * pad + n, d) > best) {
+          best = x.At(t * pad + n, d);
+          any = true;
+        }
+      }
+      pooled.At(t, d) = any ? best : 0.0f;
+    }
+  }
+  return pooled;
+}
+
+TEST(TreeBatchPropertyTest, FlatTrunkAndPoolingAreBitwiseEqualToPadded) {
+  constexpr size_t kFeatureDim = 13, kChannels = 7, kLayers = 3;
+  constexpr size_t kNodeLimit = 15, kSubtrees = 9;
+  Rng rng(2024);
+  size_t compared = 0, nonzero = 0;
+  for (int round = 0; round < 6; ++round) {
+    // Even rounds: sub-tree forests (<= N nodes, up to K per sample, some
+    // missing). Odd rounds: full trees, some larger than the dataset's
+    // padding size (the old full-tree model padded to the batch maximum).
+    const bool full = round % 2 == 1;
+    std::vector<core::TreeFeatures> storage;
+    storage.reserve(64);
+    std::vector<int> slot_tree;  // index into storage, -1 = missing
+    const size_t samples = 1 + rng.NextUint64(5);
+    for (size_t s = 0; s < samples; ++s) {
+      const size_t present =
+          full ? 1 : 1 + rng.NextUint64(kSubtrees);  // fewer than K
+      const size_t per_sample = full ? 1 : kSubtrees;
+      for (size_t k = 0; k < per_sample; ++k) {
+        if (k >= present) {
+          slot_tree.push_back(-1);
+          continue;
+        }
+        const uint64_t kind = rng.NextUint64(5);
+        size_t n = kind == 0 ? 1 : 1 + rng.NextUint64(kNodeLimit);
+        if (full) n = 1 + rng.NextUint64(3 * kNodeLimit);
+        storage.push_back(RandomTree(n, kind == 1 ? 1 : 0, kFeatureDim,
+                                     /*zero_votes=*/kind == 2, &rng));
+        slot_tree.push_back(static_cast<int>(storage.size() - 1));
+      }
+    }
+    std::vector<const core::TreeFeatures*> slots;
+    size_t largest = 0;
+    for (int idx : slot_tree) {
+      slots.push_back(idx < 0 ? nullptr : &storage[static_cast<size_t>(idx)]);
+      if (idx >= 0) largest = std::max(largest, storage[idx].num_nodes());
+    }
+    const size_t pad = full ? largest + 2 : kNodeLimit;
+
+    for (KernelBackend backend :
+         {KernelBackend::kScalar, KernelBackend::kBlocked}) {
+      for (bool frozen : {false, true}) {
+        if (frozen && backend == KernelBackend::kScalar) continue;
+        for (size_t threads : {1, 4}) {
+          SCOPED_TRACE(testing::Message()
+                       << "round " << round << " backend "
+                       << KernelRegistry::BackendName(backend) << " frozen "
+                       << frozen << " threads " << threads);
+          Rng weights(77 + static_cast<uint64_t>(round));
+          core::TreeConvStack stack(
+              kFeatureDim, std::vector<size_t>(kLayers, kChannels), &weights);
+          // Nonzero biases, so padding slots carry ReLU(bias) between layers
+          // in the padded reference, as they did in the padded model.
+          for (ParamRef& p : stack.Params()) {
+            if (p.name == "bias") {
+              for (size_t i = 0; i < p.value->size(); ++i) {
+                (*p.value)[i] = 0.1f * static_cast<float>(i % 3) - 0.05f;
+              }
+            }
+          }
+          const Tensor want =
+              PaddedReference(slots, pad, kFeatureDim, stack.Params(),
+                              kChannels, kLayers, backend);
+          ExecutionContext ctx(threads);
+          ctx.mutable_kernels()->SetAllBackends(backend);
+          stack.BindContext(&ctx);
+          if (frozen) {
+            std::vector<FreezableLayer*> layers;
+            stack.CollectFreezableLayers(&layers);
+            for (FreezableLayer* layer : layers) layer->FreezeWeights();
+          }
+          MaskedDynamicPooling pooling;
+          pooling.set_context(&ctx);
+          TreeBatch batch;
+          core::AssembleTreeBatch(slots, kFeatureDim, &batch);
+          const Tensor& got = pooling.Forward(stack.Forward(batch), batch);
+          ASSERT_EQ(got.shape(), want.shape());
+          for (size_t i = 0; i < want.size(); ++i) {
+            ASSERT_EQ(got[i], want[i]) << "pooled element " << i;
+            nonzero += want[i] != 0.0f ? 1 : 0;
+          }
+          compared += want.size();
+        }
+      }
+    }
+  }
+  // The forests are not inert: most pooled values are real maxima.
+  EXPECT_GT(nonzero, compared / 4);
 }
 
 TEST(LossTest, MseKnownValue) {

@@ -250,6 +250,9 @@ TEST_F(ShardedRuntimeFixture, ShardedAnswersMatchSingleQueryReferences) {
 
 /// Loads the fixture artifact pinned to `gemm` / `tree_conv` backends;
 /// `scale` != 1 multiplies every parameter, giving a second, distinct model.
+/// LoadFile freezes for the process-default backend; this changes backends
+/// and weights after that, so it returns the pipeline thawed and each test
+/// sees exactly the freezing the shard itself does.
 std::unique_ptr<core::PrestroidPipeline> LoadPinned(
     const std::string& path, KernelBackend gemm, KernelBackend tree_conv,
     float scale = 1.0f) {
@@ -260,6 +263,7 @@ std::unique_ptr<core::PrestroidPipeline> LoadPinned(
   if (scale != 1.0f) {
     for (ParamRef& param : pipeline->model()->Params()) *param.value *= scale;
   }
+  pipeline->ThawInferenceWeights();
   return pipeline;
 }
 

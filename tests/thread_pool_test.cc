@@ -222,19 +222,21 @@ TEST(ParallelParityTest, TransposeAndElementwiseBitIdentical) {
 
 TEST(ParallelParityTest, TreeConvMatchesSerialWithin1e6) {
   const size_t batch = 13, nodes = 7, in_dim = 6, out_dim = 5;
-  TreeStructure structure;
-  structure.left.assign(batch, std::vector<int>(nodes, -1));
-  structure.right.assign(batch, std::vector<int>(nodes, -1));
-  structure.mask.assign(batch, std::vector<float>(nodes, 1.0f));
-  for (size_t b = 0; b < batch; ++b) {
-    for (size_t i = 0; 2 * i + 2 < nodes; ++i) {
-      structure.left[b][i] = static_cast<int>(2 * i + 1);
-      structure.right[b][i] = static_cast<int>(2 * i + 2);
-    }
-  }
   Rng data_rng(21);
-  const Tensor features = Tensor::Random({batch, nodes, in_dim}, &data_rng);
-  const Tensor grad = Tensor::Random({batch, nodes, out_dim}, &data_rng);
+  const Tensor features = Tensor::Random({batch * nodes, in_dim}, &data_rng);
+  const Tensor grad = Tensor::Random({batch * nodes, out_dim}, &data_rng);
+  TreeBatch structure;
+  structure.Reset(batch * nodes, in_dim);
+  std::vector<int> left(nodes, -1), right(nodes, -1);
+  for (size_t i = 0; 2 * i + 2 < nodes; ++i) {
+    left[i] = static_cast<int>(2 * i + 1);
+    right[i] = static_cast<int>(2 * i + 2);
+  }
+  const std::vector<float> votes(nodes, 1.0f);
+  for (size_t b = 0; b < batch; ++b) {
+    structure.AddTree(features.data() + b * nodes * in_dim, nodes, left.data(),
+                      right.data(), votes.data());
+  }
 
   // Two identically seeded layers, one serial and one on 4 threads.
   Rng rng_a(22), rng_b(22);
