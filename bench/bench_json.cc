@@ -142,12 +142,6 @@ void JsonWriter::Double(double value, const char* fmt) {
   ++stack_.back().items;
 }
 
-void JsonWriter::Bool(bool value) {
-  BeforeValue();
-  out_ << (value ? "true" : "false");
-  ++stack_.back().items;
-}
-
 void JsonWriter::Field(const std::string& key, const std::string& value) {
   Key(key);
   String(value);

@@ -9,7 +9,7 @@
 namespace prestroid::bench {
 
 /// Minimal streaming JSON emitter shared by the benchmark harnesses
-/// (micro_ops --json, serving_throughput), so every BENCH_*.json artifact
+/// (micro_ops --json, chaos_net), so every BENCH_*.json artifact
 /// gets the same escaping, indentation, and number formatting. Keys are
 /// written in insertion order — the emission order IS the key order, which
 /// keeps artifact diffs stable across runs.
@@ -41,7 +41,6 @@ class JsonWriter {
   /// printf-style format for the number, default "%.4f". The formatted text
   /// is emitted verbatim, so the format must produce a valid JSON number.
   void Double(double value, const char* fmt = "%.4f");
-  void Bool(bool value);
 
   // Key + scalar in one call.
   void Field(const std::string& key, const std::string& value);

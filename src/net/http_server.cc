@@ -10,6 +10,8 @@
 #include <cstring>
 #include <utility>
 
+#include "util/wake_deferral.h"
+
 namespace prestroid::net {
 
 namespace {
@@ -51,6 +53,12 @@ struct CompletionQueue {
     [[maybe_unused]] ssize_t ignored = ::write(wake_write_fd, &byte, 1);
   }
 
+  /// A Responder's wakeup: Wake(), counted in `wakeups`. Requires `mu`.
+  void CountedWake() {
+    ++wakeups;
+    Wake();
+  }
+
   // Set once by HttpServer::Start(), before any Responder exists.
   int wake_read_fd = -1;
   int wake_write_fd = -1;
@@ -69,13 +77,20 @@ void Responder::Complete(std::function<HttpResponse()> finish) const {
     return;  // `finish` (and the state it owns) is released unrun
   }
   queue_->entries.push_back({connection_id_, std::move(finish)});
-  // Only the empty -> non-empty edge wakes the loop: the rest of a batch's
-  // completions ride the same wakeup. Writing under the lock keeps the edge
-  // exact against the loop's swap.
-  if (queue_->entries.size() == 1) {
-    ++queue_->wakeups;
-    queue_->Wake();
-  }
+  // Only the empty -> non-empty edge owes the loop a wakeup: later
+  // completions ride the one already on its way.
+  if (queue_->entries.size() != 1) return;
+  // Inside a served batch (ServingShard::Resolve) the edge's wake waits for
+  // the batch's last callback, so one batch writes the pipe once even when
+  // the loop swaps the queue out between two of its completions. Elsewhere
+  // the edge wakes at once; writing under the lock keeps it exact against
+  // the loop's swap.
+  const bool deferred =
+      WakeDeferral::Defer(queue_.get(), [queue = queue_] {
+        std::lock_guard<std::mutex> wake_lock(queue->mu);
+        queue->CountedWake();
+      });
+  if (!deferred) queue_->CountedWake();
 }
 
 HttpServer::HttpServer(HttpServerConfig config)

@@ -72,8 +72,9 @@ struct CompletionQueue;
 class Responder {
  public:
   /// Queues `finish` for the event loop and wakes it: the self-pipe is
-  /// written only when the queue goes from empty to non-empty, so completions
-  /// that land together (one served batch) cost one wakeup. The loop runs
+  /// written only when the queue goes from empty to non-empty, and inside a
+  /// WakeDeferral scope (one served batch) that write waits for the scope to
+  /// close, so one batch costs the loop one wakeup. The loop runs
   /// `finish` on its own thread and writes the response it returns if the
   /// request's connection is still open; otherwise the response is dropped.
   /// After Run() has returned, `finish` is dropped unrun.
@@ -106,7 +107,8 @@ using HttpHandler = std::function<HandlerResult(const HttpRequest& request,
 ///
 /// Completions are event-driven: a Responder pushes onto a mutex-guarded
 /// completion queue and writes the self-pipe on the queue's empty ->
-/// non-empty edge; the loop swaps the queue out on each wakeup. No timer
+/// non-empty edge (once per served batch, see Responder::Complete); the loop
+/// swaps the queue out on each wakeup. No timer
 /// sits on the request path — poll(2) times out only for the idle, header
 /// and drain clocks (50 ms, 10 ms while draining). Connection ids are
 /// monotonic, so a completion can never reach a later connection that

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "serve/plan_fingerprint.h"
+#include "util/wake_deferral.h"
 
 namespace prestroid::serve {
 
@@ -332,7 +333,10 @@ void ServingShard::ServeBatch(std::vector<PendingRequest>& batch) {
 
 void ServingShard::Resolve(std::vector<PendingRequest>& batch) {
   // The one place a request's quota slot and memory charge are released and
-  // its callback runs, so both happen exactly once.
+  // its callback runs, so both happen exactly once. Wakes the callbacks
+  // raise (an HTTP loop's self-pipe) wait for the last of them: one batch,
+  // one wakeup per consumer.
+  WakeDeferral wakes;
   for (PendingRequest& request : batch) {
     request.ticket.Release();
     request.done(std::move(request.answer));

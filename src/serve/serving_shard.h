@@ -53,7 +53,9 @@ struct ServingRuntimeConfig {
 /// Receives one request's answer. Runs exactly once, on the shard's batch
 /// worker (or on the thread calling Shutdown() of a never-started shard),
 /// after the batch was served and the serving lock released; the next batch
-/// waits for it, so it must return promptly.
+/// waits for it, so it must return promptly. A batch's callbacks run inside
+/// one WakeDeferral scope, so a wake deferred there fires once, after the
+/// batch's last callback.
 using EstimateCallback = std::function<void(cost::ServingEstimate)>;
 
 /// Admission charges riding along with one routed request: the tenant's
@@ -217,7 +219,7 @@ class ServingShard {
   /// fallback for the rest. Fills each request's answer.
   void ServeBatch(std::vector<PendingRequest>& batch);
   /// Releases each served request's ticket and runs its callback, back to
-  /// back, after serve_mu_ is released.
+  /// back, after serve_mu_ is released, inside one WakeDeferral scope.
   static void Resolve(std::vector<PendingRequest>& batch);
 
   /// Freezes the attached pipeline's GEMM weights into resident fp32 panels

@@ -16,12 +16,17 @@
 ///     (408), over-cap shedding (503), oversized wire bodies;
 ///   - concurrent clients (run under TSan in CI);
 ///   - graceful drain: all parsed in-flight requests answered before exit,
-///     zero forced closes, SIGTERM via the real signal path.
+///     zero forced closes, triggered by RequestDrain() and by the signal
+///     handler's drain fd; SIGTERM via the real signal path;
+///   - completions: one served batch wakes the event loop exactly once,
+///     also when a direct runtime caller shares the batch.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
+#include <cmath>
 #include <csignal>
 #include <cstdint>
+#include <future>
 #include <map>
 #include <memory>
 #include <set>
@@ -745,35 +750,55 @@ TEST_F(NetTest, ConcurrentClientsAllServed) {
 }
 
 TEST_F(NetTest, DrainServesEveryParsedInFlightRequest) {
-  TestServerOptions options;
-  // A wide batch window parks estimates in the micro-batcher long enough for
-  // the drain to begin while they are genuinely in flight.
-  options.batch_window_us = 50000;
-  options.max_batch = 64;
-  TestServer ts(*records_, options);
-  constexpr int kClients = 6;
-  std::vector<std::thread> clients;
-  std::atomic<int> ok_count{0};
-  for (int i = 0; i < kClients; ++i) {
-    clients.emplace_back([&]() {
-      HttpClient client("127.0.0.1", ts.port());
-      auto response = client.Post("/estimate", *plan_text_);
-      if (response.ok() && response->code == 200) ++ok_count;
-    });
+  // Both ways a drain begins: RequestDrain() from another thread, and the
+  // signal path (SignalHandler::Notify -> its drain_fd -> the event loop).
+  for (const bool via_signal : {false, true}) {
+    SCOPED_TRACE(via_signal ? "SignalHandler::Notify" : "RequestDrain");
+    // The handler is process-global: installed for this case only, and
+    // outlives the server that polls its fd.
+    std::unique_ptr<SignalHandler> signals;
+    TestServerOptions options;
+    if (via_signal) {
+      signals = std::make_unique<SignalHandler>();
+      ASSERT_TRUE(signals->Install().ok());
+      options.drain_fd = signals->drain_fd();
+    }
+    // A wide batch window parks estimates in the micro-batcher long enough
+    // for the drain to begin while they are genuinely in flight.
+    options.batch_window_us = 100000;
+    options.max_batch = 64;
+    TestServer ts(*records_, options);
+    constexpr int kClients = 6;
+    std::vector<std::thread> clients;
+    std::atomic<int> ok_count{0};
+    for (int i = 0; i < kClients; ++i) {
+      clients.emplace_back([&]() {
+        HttpClient client("127.0.0.1", ts.port());
+        auto response = client.Post("/estimate", *plan_text_);
+        if (response.ok() && response->code == 200) ++ok_count;
+      });
+    }
+    // Wait until every request is parsed and in flight, then drain.
+    EXPECT_TRUE(ts.WaitFor([&]() {
+      return ts.server().StatsSnapshot().requests >= kClients;
+    }));
+    if (via_signal) {
+      signals->Notify();
+    } else {
+      ts.server().RequestDrain();
+    }
+    for (std::thread& thread : clients) thread.join();
+    ts.AwaitExit();
+    // Zero dropped in-flight requests, zero forced closes.
+    EXPECT_EQ(ok_count.load(), kClients);
+    EXPECT_EQ(ts.server().StatsSnapshot().forced_drain_closes, 0u);
+    EXPECT_TRUE(ts.run_status().ok());
+    EXPECT_GT(ts.server().drain_latency_ms(), 0.0);
+    EXPECT_EQ(ts.service().InflightCount(), 0u);
+    if (via_signal) {
+      EXPECT_TRUE(signals->drain_requested());
+    }
   }
-  // Wait until every request is parsed and in flight, then drain.
-  ASSERT_TRUE(ts.WaitFor([&]() {
-    return ts.server().StatsSnapshot().requests >= kClients;
-  }));
-  ts.server().RequestDrain();
-  for (std::thread& thread : clients) thread.join();
-  ts.AwaitExit();
-  // Zero dropped in-flight requests, zero forced closes.
-  EXPECT_EQ(ok_count.load(), kClients);
-  EXPECT_EQ(ts.server().StatsSnapshot().forced_drain_closes, 0u);
-  EXPECT_TRUE(ts.run_status().ok());
-  EXPECT_GT(ts.server().drain_latency_ms(), 0.0);
-  EXPECT_EQ(ts.service().InflightCount(), 0u);
 }
 
 TEST_F(NetTest, SigtermDrainsViaSignalHandler) {
@@ -877,30 +902,50 @@ TEST_F(NetTest, SequentialKeepAliveEstimatesNeverWaitForATimer) {
 }
 
 TEST_F(NetTest, OneBatchOfCompletionsCostsOneWakeup) {
-  TestServerOptions options;
-  // The window holds the batch until all kClients requests are queued; they
-  // then resolve together.
-  constexpr int kClients = 8;
-  options.batch_window_us = 10000000;
-  options.max_batch = kClients;
-  TestServer ts(*records_, options);
-  std::vector<std::thread> clients;
-  std::atomic<int> ok_count{0};
-  for (int i = 0; i < kClients; ++i) {
-    clients.emplace_back([&]() {
-      HttpClient client("127.0.0.1", ts.port());
-      auto response = client.Post("/estimate", *plan_text_);
-      if (response.ok() && response->code == 200) ++ok_count;
-    });
+  // The window holds the batch until kBatch requests are queued; they then
+  // resolve together. Besides an all-HTTP batch, one request may come from a
+  // direct runtime caller, first or last in the batch: the HTTP answers must
+  // still get their wakeup rather than wait for the loop's idle timeout.
+  constexpr int kBatch = 8;
+  enum class Direct { kNone, kFirst, kLast };
+  const plan::PlanNode& plan = *(*records_)[0].plan;
+  for (const Direct direct : {Direct::kNone, Direct::kFirst, Direct::kLast}) {
+    SCOPED_TRACE("direct caller " + std::to_string(static_cast<int>(direct)));
+    TestServerOptions options;
+    options.batch_window_us = 10000000;
+    options.max_batch = kBatch;
+    TestServer ts(*records_, options);
+    const int http_clients = direct == Direct::kNone ? kBatch : kBatch - 1;
+    std::future<cost::ServingEstimate> direct_answer;
+    if (direct == Direct::kFirst) {
+      direct_answer = ts.runtime().Submit(plan, 1e9).ValueOrDie();
+    }
+    std::vector<std::thread> clients;
+    std::atomic<int> ok_count{0};
+    for (int i = 0; i < http_clients; ++i) {
+      clients.emplace_back([&]() {
+        HttpClient client("127.0.0.1", ts.port());
+        auto response = client.Post("/estimate", *plan_text_);
+        if (response.ok() && response->code == 200) ++ok_count;
+      });
+    }
+    if (direct == Direct::kLast) {
+      EXPECT_TRUE(ts.WaitFor([&]() {
+        return ts.runtime().StatsSnapshot().queue_high_watermark >=
+               static_cast<size_t>(http_clients);
+      }));
+      direct_answer = ts.runtime().Submit(plan, 1e9).ValueOrDie();
+    }
+    for (std::thread& thread : clients) thread.join();
+    EXPECT_EQ(ok_count.load(), http_clients);
+    if (direct_answer.valid()) {
+      EXPECT_TRUE(std::isfinite(direct_answer.get().cpu_minutes));
+    }
+    // The batch's first HTTP completion owes the loop a wakeup, and the
+    // shard writes it after the batch's last callback: exactly one pipe
+    // write, even if the loop swaps the queue out between two completions.
+    EXPECT_EQ(ts.server().StatsSnapshot().completion_wakeups, 1u);
   }
-  for (std::thread& thread : clients) thread.join();
-  EXPECT_EQ(ok_count.load(), kClients);
-  // The first completion writes the self-pipe; the rest land while the queue
-  // is non-empty. Far fewer writes than answers even if the loop wakes
-  // between two of them.
-  EXPECT_GE(ts.server().StatsSnapshot().completion_wakeups, 1u);
-  EXPECT_LT(ts.server().StatsSnapshot().completion_wakeups,
-            static_cast<uint64_t>(kClients) / 2);
 }
 
 TEST_F(NetTest, HangUpStormDropsCompletionsWithoutCrossTalk) {
@@ -914,9 +959,10 @@ TEST_F(NetTest, HangUpStormDropsCompletionsWithoutCrossTalk) {
   // the wrong connection would show up here as an estimate body.
   std::atomic<int> bystander_ok{0};
   std::atomic<int> bystander_bad{0};
+  std::atomic<bool> bystander_answered{false};
   std::thread bystander([&]() {
     HttpClient client("127.0.0.1", ts.port());
-    while (storming.load()) {
+    do {
       auto response = client.Get("/healthz");
       if (response.ok() && response->code == 200 &&
           response->body.find("\"status\": \"ok\"") != std::string::npos) {
@@ -924,8 +970,13 @@ TEST_F(NetTest, HangUpStormDropsCompletionsWithoutCrossTalk) {
       } else {
         ++bystander_bad;
       }
-    }
+      bystander_answered = true;
+    } while (storming.load());
   });
+  // The storm opens more connections than the server's cap, which sheds
+  // only new connections: the bystander holds an answered one before the
+  // first stormer connects.
+  EXPECT_TRUE(ts.WaitFor([&]() { return bystander_answered.load(); }));
   std::vector<std::thread> stormers;
   const std::string wire = BuildRequest("POST", "/estimate", {}, *plan_text_);
   for (int t = 0; t < kThreads; ++t) {
@@ -949,7 +1000,10 @@ TEST_F(NetTest, HangUpStormDropsCompletionsWithoutCrossTalk) {
   bystander.join();
   EXPECT_GT(bystander_ok.load(), 0);
   EXPECT_EQ(bystander_bad.load(), 0);
-  // The server is still healthy and answers on a fresh connection.
+  // The server is still healthy and answers on a fresh connection, once the
+  // storm's connections are closed (until then the cap may shed it).
+  EXPECT_TRUE(ts.WaitFor(
+      [&]() { return ts.server().StatsSnapshot().connections_active == 0; }));
   HttpClient after = ts.Client();
   auto response = after.Post("/estimate", *plan_text_);
   ASSERT_TRUE(response.ok()) << response.status().ToString();

@@ -3,14 +3,15 @@
 ///   - plan fingerprints cover exactly the recast-consumed fields;
 ///   - the LRU feature cache counts hits/misses/evictions and retires
 ///     generations on invalidation;
-///   - batched serving matches single-query serving to 1e-5, including a
-///     batch of one;
+///   - batched serving matches single-query serving to 1e-5 at max_batch
+///     1, 8, 32 and 128, each forming full batches of that size;
 ///   - deadline expiry while queued degrades per item instead of failing;
 ///   - queue overflow rejects with kResourceExhausted without blocking;
 ///   - multi-producer submission is safe (run under TSan in CI).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <deque>
 #include <future>
@@ -244,43 +245,60 @@ Result<std::unique_ptr<core::PrestroidPipeline>> SwapOne(
 }
 
 TEST_F(ServingRuntimeFixture, BatchedMatchesSingleQueryServing) {
-  auto estimator = MakeEstimator();
   // Single-query references through an independent instance of the same
-  // artifact (the runtime owns `estimator` while running).
+  // artifact (the runtime owns each estimator while running).
   auto reference_pipeline =
       core::PrestroidPipeline::LoadFile(*artifact_path_).ValueOrDie();
-  constexpr size_t kPlans = 24;
   std::vector<double> reference;
-  for (size_t i = 0; i < kPlans; ++i) {
+  for (size_t i = 0; i < records_->size(); ++i) {
     reference.push_back(reference_pipeline->PredictPlan(SamplePlan(i))
                             .ValueOrDie());
   }
 
-  ServingRuntimeConfig config;
-  config.max_batch = 8;
-  config.batch_window_us = 100;
-  ShardedServingRuntime runtime({estimator.get()}, OneShard(config));
-  ASSERT_TRUE(runtime.Start().ok());
+  // The window is far longer than serving any batch takes, and the worker
+  // leaves it early only once max_batch requests are queued. Every round is
+  // a whole number of full batches, so answering them well inside the window
+  // shows that each batch formed at exactly max_batch.
+  constexpr size_t kWindowUs = 20000000;
+  constexpr size_t kMinRequests = 24;
+  for (size_t max_batch : {size_t{1}, size_t{8}, size_t{32}, size_t{128}}) {
+    SCOPED_TRACE("max_batch " + std::to_string(max_batch));
+    const size_t requests =
+        (kMinRequests + max_batch - 1) / max_batch * max_batch;
+    auto estimator = MakeEstimator();
+    ServingRuntimeConfig config;
+    config.max_batch = max_batch;
+    config.batch_window_us = kWindowUs;
+    ShardedServingRuntime runtime({estimator.get()}, OneShard(config));
+    ASSERT_TRUE(runtime.Start().ok());
 
-  std::vector<std::future<cost::ServingEstimate>> futures;
-  for (size_t i = 0; i < kPlans; ++i) {
-    auto submitted = runtime.Submit(SamplePlan(i), /*deadline_ms=*/1e9);
-    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
-    futures.push_back(std::move(*submitted));
+    const auto start = std::chrono::steady_clock::now();
+    std::vector<std::future<cost::ServingEstimate>> futures;
+    for (size_t i = 0; i < requests; ++i) {
+      auto submitted = runtime.Submit(SamplePlan(i), /*deadline_ms=*/1e9);
+      ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+      futures.push_back(std::move(*submitted));
+    }
+    for (size_t i = 0; i < requests; ++i) {
+      const cost::ServingEstimate estimate = futures[i].get();
+      ASSERT_EQ(estimate.tier, cost::ServingTier::kModel)
+          << estimate.degradation_reason.ToString();
+      EXPECT_NEAR(estimate.cpu_minutes, reference[i % reference.size()],
+                  1e-5);
+      EXPECT_TRUE(estimate.degradation_reason.ok());
+      EXPECT_GE(estimate.latency_ms, 0.0);
+    }
+    const double elapsed_us = std::chrono::duration<double, std::micro>(
+                                  std::chrono::steady_clock::now() - start)
+                                  .count();
+    EXPECT_LT(elapsed_us, kWindowUs / 2.0);
+    runtime.Shutdown();
+    const cost::ServingStats stats = runtime.StatsSnapshot();
+    EXPECT_EQ(stats.requests, requests);
+    EXPECT_EQ(stats.by_tier[0], requests);
+    EXPECT_GE(stats.queue_high_watermark, max_batch);
+    EXPECT_EQ(runtime.LatencySnapshot().count(), requests);
   }
-  for (size_t i = 0; i < kPlans; ++i) {
-    const cost::ServingEstimate estimate = futures[i].get();
-    ASSERT_EQ(estimate.tier, cost::ServingTier::kModel)
-        << estimate.degradation_reason.ToString();
-    EXPECT_NEAR(estimate.cpu_minutes, reference[i], 1e-5);
-    EXPECT_TRUE(estimate.degradation_reason.ok());
-    EXPECT_GE(estimate.latency_ms, 0.0);
-  }
-  runtime.Shutdown();
-  const cost::ServingStats stats = runtime.StatsSnapshot();
-  EXPECT_EQ(stats.requests, kPlans);
-  EXPECT_EQ(stats.by_tier[0], kPlans);
-  EXPECT_EQ(runtime.LatencySnapshot().count(), kPlans);
 }
 
 TEST_F(ServingRuntimeFixture, DeadlineExpiredWhileQueuedDegradesPerItem) {

@@ -1,6 +1,6 @@
 /// Tests for the sharded multi-tenant serving tier (serve/sharded_runtime.h):
 ///   - fingerprint routing sends identical plans to one shard's cache;
-///   - sharded answers match single-query references across shards;
+///   - sharded answers match single-query references at 1, 2 and 4 shards;
 ///   - tenant quotas shed with kResourceExhausted + per-tenant counters while
 ///     other tenants keep serving;
 ///   - the box memory budget denies admission and releases the quota charge;
@@ -230,22 +230,25 @@ TEST_F(ShardedRuntimeFixture, ShardedAnswersMatchSingleQueryReferences) {
         reference_pipeline->PredictPlan(SamplePlan(i)).ValueOrDie());
   }
 
-  ShardedRuntimeConfig config;
-  config.shard.max_batch = 8;
-  config.shard.batch_window_us = 100;
-  Tier tier = MakeTier(4, config);
-  ASSERT_TRUE(tier.runtime->Start().ok());
-  std::vector<std::future<cost::ServingEstimate>> futures;
-  for (size_t i = 0; i < kPlans; ++i) {
-    futures.push_back(tier.runtime->Submit(SamplePlan(i), 1e9).ValueOrDie());
+  for (size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    ShardedRuntimeConfig config;
+    config.shard.max_batch = 8;
+    config.shard.batch_window_us = 100;
+    Tier tier = MakeTier(shards, config);
+    ASSERT_TRUE(tier.runtime->Start().ok());
+    std::vector<std::future<cost::ServingEstimate>> futures;
+    for (size_t i = 0; i < kPlans; ++i) {
+      futures.push_back(tier.runtime->Submit(SamplePlan(i), 1e9).ValueOrDie());
+    }
+    for (size_t i = 0; i < kPlans; ++i) {
+      const cost::ServingEstimate estimate = futures[i].get();
+      ASSERT_EQ(estimate.tier, cost::ServingTier::kModel);
+      EXPECT_NEAR(estimate.cpu_minutes, reference[i],
+                  1e-5 * std::max(1.0, std::fabs(reference[i])));
+    }
+    tier.runtime->Shutdown();
   }
-  for (size_t i = 0; i < kPlans; ++i) {
-    const cost::ServingEstimate estimate = futures[i].get();
-    ASSERT_EQ(estimate.tier, cost::ServingTier::kModel);
-    EXPECT_NEAR(estimate.cpu_minutes, reference[i],
-                1e-5 * std::max(1.0, std::fabs(reference[i])));
-  }
-  tier.runtime->Shutdown();
 }
 
 /// Loads the fixture artifact pinned to `gemm` / `tree_conv` backends;

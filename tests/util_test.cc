@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <set>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "util/histogram.h"
@@ -13,6 +14,7 @@
 #include "util/status.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
+#include "util/wake_deferral.h"
 
 namespace prestroid {
 namespace {
@@ -621,6 +623,55 @@ TEST(TablePrinterTest, DoubleRowFormatting) {
   std::ostringstream os;
   printer.PrintCsv(os);
   EXPECT_EQ(os.str(), "w,a,b\nr,1.235,2.000\n");
+}
+
+TEST(WakeDeferralTest, WithoutAScopeTheCallerWakesItself) {
+  int wakes = 0;
+  EXPECT_FALSE(WakeDeferral::Defer(&wakes, [&] { ++wakes; }));
+  EXPECT_EQ(wakes, 0);
+}
+
+TEST(WakeDeferralTest, EachKeyWakesOnceWhenTheScopeCloses) {
+  int first = 0;
+  int second = 0;
+  {
+    WakeDeferral scope;
+    EXPECT_TRUE(WakeDeferral::Defer(&first, [&] { ++first; }));
+    EXPECT_TRUE(WakeDeferral::Defer(&second, [&] { ++second; }));
+    EXPECT_TRUE(WakeDeferral::Defer(&first, [&] { ++first; }));
+    EXPECT_EQ(first, 0);
+    EXPECT_EQ(second, 0);
+  }
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(second, 1);
+  // The scope is closed: nothing is deferred any more.
+  EXPECT_FALSE(WakeDeferral::Defer(&first, [&] { ++first; }));
+}
+
+TEST(WakeDeferralTest, NestedScopeWakesAtItsOwnClose) {
+  int outer = 0;
+  int inner = 0;
+  {
+    WakeDeferral outer_scope;
+    WakeDeferral::Defer(&outer, [&] { ++outer; });
+    {
+      WakeDeferral inner_scope;
+      WakeDeferral::Defer(&inner, [&] { ++inner; });
+    }
+    EXPECT_EQ(inner, 1);
+    EXPECT_EQ(outer, 0);
+  }
+  EXPECT_EQ(outer, 1);
+}
+
+TEST(WakeDeferralTest, ScopesArePerThread) {
+  WakeDeferral scope;
+  bool deferred_elsewhere = true;
+  std::thread other([&] {
+    deferred_elsewhere = WakeDeferral::Defer(&deferred_elsewhere, [] {});
+  });
+  other.join();
+  EXPECT_FALSE(deferred_elsewhere);
 }
 
 }  // namespace
